@@ -454,19 +454,8 @@ func OptimizeILS(s *SOC, wmax int, groups []*Group, m Model, kicks int, seed int
 // back only when no valid architecture was produced.
 func OptimizeILSCtx(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model, kicks int, seed int64) (res *Result, err error) {
 	defer guard(&err)
-	cons, err := core.CompileSOCConstraints(s, groups)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.NewEngine(s, wmax, core.NewIncrementalSIEvaluatorCons(groups, m, cons))
-	if err != nil {
-		return nil, err
-	}
-	arch, _, st, err := eng.OptimizeILSCtx(ctx, kicks, seed)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Finish(arch, st, groups, m, nil)
+	return core.Solve(ctx, s, wmax, groups, m, core.Algo{Kind: core.AlgoILS, Kicks: kicks, Restarts: 1, Seed: seed},
+		core.ParallelConfig{Workers: 1, CacheSize: -1})
 }
 
 // OptimizeILSWith is OptimizeILSCtx with parallel candidate evaluation,
@@ -477,19 +466,7 @@ func OptimizeILSCtx(ctx context.Context, s *SOC, wmax int, groups []*Group, m Mo
 // with cfg exactly. Result.Cache carries the cache counters of the run.
 func OptimizeILSWith(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model, kicks, restarts int, seed int64, cfg ParallelConfig) (res *Result, err error) {
 	defer guard(&err)
-	cons, err := core.CompileSOCConstraints(s, groups)
-	if err != nil {
-		return nil, err
-	}
-	eng, cache, err := core.NewParallelEngine(s, wmax, core.NewIncrementalSIEvaluatorCons(groups, m, cons), cfg)
-	if err != nil {
-		return nil, err
-	}
-	arch, _, st, err := eng.OptimizeILSRestartsCtx(ctx, kicks, restarts, seed)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Finish(arch, st, groups, m, cache)
+	return core.Solve(ctx, s, wmax, groups, m, core.Algo{Kind: core.AlgoILS, Kicks: kicks, Restarts: restarts, Seed: seed}, cfg)
 }
 
 // InTestLowerBound returns the Goel-Marinissen lower bound on the

@@ -177,7 +177,7 @@ func BenchmarkGreedyCompaction10k(b *testing.B) {
 	sp := sifault.NewSpace(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		compaction.Greedy(sp, patterns)
+		compaction.Greedy(context.Background(), sp, patterns, nil, "")
 	}
 }
 
@@ -258,7 +258,7 @@ func Benchmark_AblationCover(b *testing.B) {
 	b.Run("greedy", func(b *testing.B) {
 		var compacted int
 		for i := 0; i < b.N; i++ {
-			_, stats := compaction.Greedy(sp, patterns)
+			_, stats, _ := compaction.Greedy(context.Background(), sp, patterns, nil, "")
 			compacted = stats.Compacted
 		}
 		b.ReportMetric(float64(compacted), "patterns")

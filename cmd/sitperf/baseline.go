@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 )
 
 // loadBaseline extracts the comparable values of a baseline document:
@@ -52,12 +53,22 @@ func loadBaseline(path string) (map[string]float64, error) {
 // updateBaseline rewrites the compared values of a baseline document
 // from this run's medians, preserving every other field. Bench entries
 // get ns_per_op (rounded to integer nanoseconds); the serve document
-// gets its latency percentiles.
+// gets its latency percentiles. The environment block is stamped with
+// the core count, GOMAXPROCS and Go version the numbers were taken
+// with, so a baseline never outlives the host facts behind it.
 func updateBaseline(path string, s suite, measured map[string][]float64) error {
 	doc, err := readDoc(path)
 	if err != nil {
 		return err
 	}
+	env, _ := doc["environment"].(map[string]any)
+	if env == nil {
+		env = map[string]any{}
+		doc["environment"] = env
+	}
+	env["nproc"] = runtime.NumCPU()
+	env["gomaxprocs"] = runtime.GOMAXPROCS(0)
+	env["go"] = runtime.Version()
 	if benches, ok := doc["benchmarks"].([]any); ok {
 		for _, item := range benches {
 			m, ok := item.(map[string]any)

@@ -124,8 +124,9 @@ func TestSelftestAgainstCommittedBaselines(t *testing.T) {
 }
 
 // TestUpdateBaselinePreservesProse checks -update surgery: ns_per_op
-// values move, the findings/environment prose and entries the run did
-// not measure stay intact.
+// values move, the environment gains the host stamp, and the
+// findings/environment prose and entries the run did not measure stay
+// intact.
 func TestUpdateBaselinePreservesProse(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_unit.json")
@@ -161,6 +162,15 @@ func TestUpdateBaselinePreservesProse(t *testing.T) {
 	}
 	if doc["findings"].([]any)[0] != "keep this sentence" {
 		t.Error("findings prose lost")
+	}
+	env := doc["environment"].(map[string]any)
+	if env["note"] != "keep me" {
+		t.Error("environment prose lost")
+	}
+	for _, k := range []string{"nproc", "gomaxprocs", "go"} {
+		if _, ok := env[k]; !ok {
+			t.Errorf("environment not stamped with %s: %v", k, env)
+		}
 	}
 	byName := map[string]map[string]any{}
 	for _, item := range doc["benchmarks"].([]any) {

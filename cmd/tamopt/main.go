@@ -38,8 +38,6 @@ import (
 	"sitam/internal/sifault"
 	"sitam/internal/sischedule"
 	"sitam/internal/soc"
-	"sitam/internal/tam"
-	"sitam/internal/trarchitect"
 )
 
 func main() {
@@ -58,7 +56,6 @@ func main() {
 		ils      = flag.Int("ils", 0, "iterated-local-search kicks after the greedy optimization (0 = paper's algorithm)")
 		restarts = flag.Int("restarts", 1, "independent ILS restarts with seeds seed, seed+1, ... (only with -ils > 0)")
 		workers  = flag.Int("workers", 0, "concurrent candidate evaluations (0 = GOMAXPROCS, 1 = serial); results are identical at any worker count")
-		cworkers = flag.Int("compact-workers", 0, "concurrent compaction shard workers (0 = serial, -1 = GOMAXPROCS); output is identical at any count")
 		cache    = flag.Int("cache", 0, "evaluation cache capacity in entries (0 = default, negative = disabled)")
 		cacheFil = flag.String("cache-file", "", "persistent evaluation-cache file: loaded before the run, appended during it; a locked or damaged file degrades to memory-only")
 		timeout  = flag.Duration("timeout", 0, "overall deadline; on expiry the best result so far is printed and the exit code is 3 (0 = none)")
@@ -98,7 +95,6 @@ func main() {
 		socName: *socName, file: *file, wmax: *wmax, nr: *nr, parts: *parts,
 		seed: *seed, baseline: *baseline, gantt: *gantt, jsonOut: *jsonOut,
 		ils: *ils, restarts: *restarts, stats: *stats, traceFile: *traceOut,
-		compactWorkers: *cworkers,
 	}
 	if *traceOut != "" {
 		o.tracer = obs.NewTracer()
@@ -132,7 +128,6 @@ func main() {
 type options struct {
 	socName, file, jsonOut         string
 	wmax, nr, parts, ils, restarts int
-	compactWorkers                 int
 	seed                           int64
 	baseline, gantt, stats         bool
 	traceFile                      string
@@ -175,7 +170,6 @@ func run(ctx context.Context, o options) (partial bool, reason, cause string, er
 
 	grouping, err := core.BuildGroupsCtx(ctx, s, patterns, core.GroupingOptions{
 		Parts: o.parts, Seed: o.seed, Trace: o.sink(),
-		CompactWorkers: o.compactWorkers, Metrics: o.cfg.Metrics,
 	})
 	if err != nil {
 		return false, "", "", err
@@ -190,33 +184,14 @@ func run(ctx context.Context, o options) (partial bool, reason, cause string, er
 		fmt.Printf("  %-4s: %5d patterns over %d cores\n", g.Name, g.Patterns, len(g.Cores))
 	}
 
-	model := sischedule.DefaultModel()
-	var res *core.Result
+	algo := core.Algo{Kind: core.AlgoSI}
 	switch {
 	case o.baseline:
-		res, err = trarchitect.OptimizeThenScheduleSIWith(ctx, s, o.wmax, grouping.Groups, model, o.cfg)
+		algo.Kind = core.AlgoBaseline
 	case o.ils > 0:
-		var cons *sischedule.Constraints
-		cons, err = core.CompileSOCConstraints(s, grouping.Groups)
-		if err != nil {
-			break
-		}
-		var eng *core.Engine
-		var cache *core.CachedEvaluator
-		eng, cache, err = core.NewParallelEngine(s, o.wmax, &core.SIEvaluator{Groups: grouping.Groups, Model: model, Cons: cons}, o.cfg)
-		if err != nil {
-			break
-		}
-		var arch *tam.Architecture
-		var st core.Status
-		arch, _, st, err = eng.OptimizeILSRestartsCtx(ctx, o.ils, o.restarts, o.seed)
-		if err != nil {
-			break
-		}
-		res, err = eng.Finish(arch, st, grouping.Groups, model, cache)
-	default:
-		res, err = core.TAMOptimizationWith(ctx, s, o.wmax, grouping.Groups, model, o.cfg)
+		algo = core.Algo{Kind: core.AlgoILS, Kicks: o.ils, Restarts: o.restarts, Seed: o.seed}
 	}
+	res, err := core.Solve(ctx, s, o.wmax, grouping.Groups, sischedule.DefaultModel(), algo, o.cfg)
 	if err != nil {
 		return false, "", "", err
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, gStats := compaction.Greedy(sp, small)
+	_, gStats, _ := compaction.Greedy(context.Background(), sp, small, nil, "")
 	_, dStats, err := compaction.DSATUR(small)
 	if err != nil {
 		log.Fatal(err)

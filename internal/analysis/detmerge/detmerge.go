@@ -1,7 +1,6 @@
 // Package detmerge guards the repeatability pillar on the parallel
-// reduction paths (DESIGN §15): everything reachable from the sharded
-// compactor's merge path and the parallel evaluator's candidate map
-// must combine results in deterministic index order, because two runs
+// reduction paths (DESIGN §15): everything reachable from the parallel
+// evaluator's candidate map must combine results in deterministic index order, because two runs
 // of the same optimization must produce byte-identical architectures.
 //
 // The analyzer walks the in-package call graph from the Roots entry
@@ -38,9 +37,6 @@ import (
 // Name or Type.Name for methods). Mutable for the analysistest
 // fixtures.
 var Roots = map[string]bool{
-	"sitam/internal/compaction.GreedyWith":               true,
-	"sitam/internal/compaction.greedyWith":               true,
-	"sitam/internal/compaction.mergeDisjoint":            true,
 	"sitam/internal/core.ParallelEvaluator.mapCandidates": true,
 }
 
@@ -249,4 +245,4 @@ func posKey(file string, line int) string {
 	return fmt.Sprintf("%s:%d", file, line)
 }
 
-func rootsLabel() string { return "GreedyWith/ParallelEvaluator merge roots" }
+func rootsLabel() string { return "ParallelEvaluator.mapCandidates or a detmerge-root marked function" }

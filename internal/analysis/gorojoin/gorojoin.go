@@ -1,7 +1,6 @@
 // Package gorojoin turns the chaostest no-goroutine-leak invariant
 // into a compile-time check (DESIGN §15): every `go` statement in the
-// serving layer, the sharded compaction pool and the parallel
-// evaluator must have a provable join, so a drained daemon cannot
+// serving layer and the parallel evaluator must have a provable join, so a drained daemon cannot
 // strand workers.
 //
 // A go statement is considered joined when any of these holds:
@@ -37,9 +36,8 @@ import (
 // Scope lists the packages whose go statements must join. Mutable for
 // the analysistest fixtures.
 var Scope = map[string]bool{
-	"sitam/internal/serve":      true,
-	"sitam/internal/compaction": true,
-	"sitam/internal/core":       true,
+	"sitam/internal/serve": true,
+	"sitam/internal/core":  true,
 }
 
 // SignalsDone is the object fact exported for named functions whose
@@ -51,7 +49,7 @@ func (*SignalsDone) AFact() {}
 
 var Analyzer = &analysis.Analyzer{
 	Name:      "gorojoin",
-	Doc:       "every go statement in serve/compaction/parallel-eval must have a provable join",
+	Doc:       "every go statement in serve/parallel-eval must have a provable join",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*SignalsDone)(nil)},
 }

@@ -1,6 +1,7 @@
 package compaction
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,12 @@ import (
 	"sitam/internal/sifault"
 	"sitam/internal/soc"
 )
+
+// greedy runs Greedy untraced to completion.
+func greedy(sp *sifault.Space, patterns []*sifault.Pattern) ([]*sifault.Pattern, Stats) {
+	out, stats, _ := Greedy(context.Background(), sp, patterns, nil, "")
+	return out, stats
+}
 
 func miniSOC() *soc.SOC {
 	return &soc.SOC{
@@ -94,7 +101,7 @@ func TestGreedySmall(t *testing.T) {
 		pat(1, []sifault.Care{{Pos: 0, Sym: sifault.Fall}}, nil), // conflicts with #0
 		pat(1, []sifault.Care{{Pos: 2, Sym: sifault.One}}, nil),
 	}
-	out, stats := Greedy(sp, patterns)
+	out, stats := greedy(sp, patterns)
 	if stats.Original != 4 {
 		t.Errorf("Original = %d", stats.Original)
 	}
@@ -111,7 +118,7 @@ func TestGreedySmall(t *testing.T) {
 
 func TestGreedyEmpty(t *testing.T) {
 	sp := sifault.NewSpace(miniSOC())
-	out, stats := Greedy(sp, nil)
+	out, stats := greedy(sp, nil)
 	if len(out) != 0 || stats.Original != 0 || stats.Compacted != 0 {
 		t.Errorf("Greedy(nil) = %v, %+v", out, stats)
 	}
@@ -135,7 +142,7 @@ func randomPatterns(t *testing.T, n int, seed int64) (*sifault.Space, []*sifault
 func TestGreedyInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		sp, patterns := randomPatterns(t, 60, seed)
-		out, stats := Greedy(sp, patterns)
+		out, stats := greedy(sp, patterns)
 		// Weight conservation.
 		var wantW, gotW int64
 		for _, p := range patterns {
@@ -197,8 +204,8 @@ func subsumes(m, p *sifault.Pattern) bool {
 
 func TestGreedyIdempotent(t *testing.T) {
 	sp, patterns := randomPatterns(t, 200, 11)
-	once, s1 := Greedy(sp, patterns)
-	twice, s2 := Greedy(sp, once)
+	once, s1 := greedy(sp, patterns)
+	twice, s2 := greedy(sp, once)
 	// Merged patterns of one greedy pass are mutually incompatible, so
 	// a second pass is a no-op.
 	if s2.Compacted != s1.Compacted || len(twice) != len(once) {
@@ -208,7 +215,7 @@ func TestGreedyIdempotent(t *testing.T) {
 
 func TestGreedyOutputMutuallyIncompatible(t *testing.T) {
 	sp, patterns := randomPatterns(t, 300, 13)
-	out, _ := Greedy(sp, patterns)
+	out, _ := greedy(sp, patterns)
 	for i := 0; i < len(out); i++ {
 		for j := i + 1; j < len(out); j++ {
 			if Compatible(out[i], out[j]) {
@@ -226,7 +233,7 @@ func TestGreedyOutputMutuallyIncompatible(t *testing.T) {
 func TestDSATURMatchesOrBeatsGreedyOnSmall(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		sp, patterns := randomPatterns(t, 40, seed)
-		_, gs := Greedy(sp, patterns)
+		_, gs := greedy(sp, patterns)
 		_, ds, err := DSATUR(patterns)
 		if err != nil {
 			t.Fatal(err)
@@ -243,7 +250,7 @@ func TestDSATURMatchesOrBeatsGreedyOnSmall(t *testing.T) {
 func TestExactIsLowerBound(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		sp, patterns := randomPatterns(t, 12, seed)
-		_, gs := Greedy(sp, patterns)
+		_, gs := greedy(sp, patterns)
 		_, ds, err := DSATUR(patterns)
 		if err != nil {
 			t.Fatal(err)

@@ -8,11 +8,11 @@ import (
 	"sitam/internal/soc"
 )
 
-// Differential coverage for the word-parallel bitset greedy against
-// the scalar per-position reference: the two implementations must
-// produce byte-identical compacted pattern sets on real fixtures, on
-// fuzzed generator inputs, and the packed conflict check must agree
-// with the pairwise Compatible predicate.
+// Differential coverage for the production greedy (the conflict-index
+// engine) against the scalar per-position reference: the two
+// implementations must produce byte-identical compacted pattern sets
+// on real fixtures, on fuzzed generator inputs, and the packed
+// conflict check must agree with the pairwise Compatible predicate.
 
 func samePatternSets(t *testing.T, got, want []*sifault.Pattern) {
 	t.Helper()
@@ -44,10 +44,6 @@ func samePatternSets(t *testing.T, got, want []*sifault.Pattern) {
 	}
 }
 
-// diffWorkers are the worker counts the sharded path is pinned at:
-// byte-identical output is part of GreedyWith's contract at ANY count.
-var diffWorkers = []int{1, 2, 8}
-
 func TestGreedyBitsetMatchesScalar(t *testing.T) {
 	cases := []struct {
 		fixture string
@@ -75,43 +71,12 @@ func TestGreedyBitsetMatchesScalar(t *testing.T) {
 		if wantCut {
 			t.Fatalf("%s/N=%d/seed=%d: unexpected scalar cut", tc.fixture, tc.n, tc.seed)
 		}
-		for _, workers := range diffWorkers {
-			got, gotStats, gotCut := greedyWith(ctx, sp, patterns, Config{Workers: workers})
-			if gotCut {
-				t.Fatalf("%s/N=%d/seed=%d/workers=%d: unexpected cut", tc.fixture, tc.n, tc.seed, workers)
-			}
-			if gotStats != wantStats {
-				t.Errorf("%s/N=%d/seed=%d/workers=%d: stats %+v vs scalar %+v", tc.fixture, tc.n, tc.seed, workers, gotStats, wantStats)
-			}
-			samePatternSets(t, got, want)
+		got, gotStats, gotCut := Greedy(ctx, sp, patterns, nil, "")
+		if gotCut {
+			t.Fatalf("%s/N=%d/seed=%d: unexpected cut", tc.fixture, tc.n, tc.seed)
 		}
-	}
-}
-
-// TestGreedyShardedMultiComponent drives the sharded path on a corpus
-// that actually splits: with the bus and external aggressors disabled
-// every pattern cares about one core only, so the conflict components
-// (and hence the shard plan) are per-core. The merged output must
-// still be byte-identical to the serial scalar reference at every
-// worker count.
-func TestGreedyShardedMultiComponent(t *testing.T) {
-	s := soc.MustLoadBenchmark("d695")
-	cfg := sifault.GenConfig{N: 2500, Seed: 7, BusProb: -1, ExternalProb: -1}
-	patterns, err := sifault.Generate(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := sifault.NewSpace(s)
-	plan := sifault.PlanShards(sp, patterns, DefaultMaxShards)
-	if len(plan.Shards) < 2 {
-		t.Fatalf("corpus did not shard: %d shards of %d components", len(plan.Shards), plan.Components)
-	}
-	ctx := context.Background()
-	want, wantStats, _ := greedyScalar(ctx, sp, patterns)
-	for _, workers := range diffWorkers {
-		got, gotStats, _ := greedyWith(ctx, sp, patterns, Config{Workers: workers})
 		if gotStats != wantStats {
-			t.Errorf("workers=%d: stats %+v vs scalar %+v (shards=%d)", workers, gotStats, wantStats, len(plan.Shards))
+			t.Errorf("%s/N=%d/seed=%d: stats %+v vs scalar %+v", tc.fixture, tc.n, tc.seed, gotStats, wantStats)
 		}
 		samePatternSets(t, got, want)
 	}
@@ -129,7 +94,7 @@ func TestGreedyCancelledMatchesScalar(t *testing.T) {
 	sp := sifault.NewSpace(s)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, _, gotCut := greedy(ctx, sp, patterns)
+	got, _, gotCut := Greedy(ctx, sp, patterns, nil, "")
 	want, _, wantCut := greedyScalar(ctx, sp, patterns)
 	if !gotCut || !wantCut {
 		t.Fatalf("cut not reported (bitset %v, scalar %v)", gotCut, wantCut)
@@ -183,8 +148,9 @@ func FuzzGreedyMatchesScalar(f *testing.F) {
 		s := soc.MustLoadBenchmark("d695")
 		cfg := sifault.GenConfig{N: int(n%500) + 1, Seed: seed}
 		if seed%3 == 0 {
-			// A third of the corpus shards for real: no bus, no
-			// external aggressors -> per-core conflict components.
+			// A third of the corpus has no bus and no external
+			// aggressors, so its conflict graph splits into per-core
+			// components that first-fit interleaves in one stream.
 			cfg.BusProb = -1
 			cfg.ExternalProb = -1
 		}
@@ -195,12 +161,10 @@ func FuzzGreedyMatchesScalar(f *testing.F) {
 		sp := sifault.NewSpace(s)
 		ctx := context.Background()
 		want, wantStats, _ := greedyScalar(ctx, sp, patterns)
-		for _, workers := range diffWorkers {
-			got, gotStats, _ := greedyWith(ctx, sp, patterns, Config{Workers: workers})
-			if gotStats != wantStats {
-				t.Fatalf("workers=%d: stats %+v vs scalar %+v", workers, gotStats, wantStats)
-			}
-			samePatternSets(t, got, want)
+		got, gotStats, _ := Greedy(ctx, sp, patterns, nil, "")
+		if gotStats != wantStats {
+			t.Fatalf("stats %+v vs scalar %+v", gotStats, wantStats)
 		}
+		samePatternSets(t, got, want)
 	})
 }

@@ -10,9 +10,8 @@ import (
 
 // Conflict-index first-fit engine.
 //
-// The fused super-pass form of the greedy clique cover (see greedy's
-// history in compaction.go and the equivalence argument on GreedyWith)
-// spends essentially all of its time answering one question per
+// The fused super-pass form of the greedy clique cover (see the
+// first-fit equivalence argument on Greedy in compaction.go) spends essentially all of its time answering one question per
 // (candidate, open accumulator) pair: "do they conflict?". The packed
 // bit-plane probe answers it in a handful of word operations, but the
 // answer is recomputed per pair — Θ(Σ bin-index) probes over a run,
@@ -55,7 +54,7 @@ import (
 // looseCap — is routed to the generic word probe via suspect masks.
 // Byte-identity with the scalar reference therefore never depends on
 // the filters being complete, only sound; the differential and fuzz
-// suites pin it across fixtures and worker counts.
+// suites pin it across fixtures and fuzzed corpora.
 const (
 	fanout = 64 // open accumulators per super-pass == bits per accumulator mask
 
@@ -93,12 +92,12 @@ type pairKey struct {
 	sym uint8
 }
 
-// ffEngine is one shard's first-fit run: packed candidates plus the
-// per-super-pass accumulator mask state. All slices are reused across
-// passes; reset cost is proportional to what the pass touched.
+// ffEngine is one first-fit run over a pattern corpus: packed
+// candidates plus the per-super-pass accumulator mask state. All
+// slices are reused across passes; reset cost is proportional to what
+// the pass touched.
 type ffEngine struct {
 	patterns []*sifault.Pattern
-	idxs     []int32 // global pattern indices of this shard, ascending
 
 	nWords  int32
 	nBlocks int
@@ -108,7 +107,7 @@ type ffEngine struct {
 	blockStart []int32
 	blockLen   []int32
 
-	// Per-candidate packed metadata (arena-backed, index-aligned with idxs).
+	// Per-candidate packed metadata (arena-backed, index-aligned with patterns).
 	words    [][]sifault.PackedWord
 	fulls    [][]fullRef
 	looses   [][]looseRef
@@ -136,10 +135,10 @@ type ffEngine struct {
 	weights    [fanout]int64
 	posOcc     []uint64 // nPos*5: [any, sym0..3] accumulator masks
 	posTouched []int32
-	fullOcc    []uint64    // per block
-	baseKill   []uint64    // per block: accs with loose care there (exact blocks only)
-	suspect    []uint64    // per block: accs needing a probe for that block
-	okLoose    []uint64    // per (block, pair): accs whose full class agrees with the pair
+	fullOcc    []uint64 // per block
+	baseKill   []uint64 // per block: accs with loose care there (exact blocks only)
+	suspect    []uint64 // per block: accs needing a probe for that block
+	okLoose    []uint64 // per (block, pair): accs whose full class agrees with the pair
 	okTouched  []int32
 	clsState   [][2]uint64 // per class slot: [sameMask, okMask]
 	clsTouched []int32
@@ -150,10 +149,9 @@ type ffEngine struct {
 	busTouched []int32
 }
 
-func newFFEngine(sp *sifault.Space, patterns []*sifault.Pattern, idxs []int32) *ffEngine {
+func newFFEngine(sp *sifault.Space, patterns []*sifault.Pattern) *ffEngine {
 	e := &ffEngine{
 		patterns: patterns,
-		idxs:     idxs,
 		nWords:   int32((sp.Total() + 63) / 64),
 		nBus:     sp.BusWidth(),
 	}
@@ -175,10 +173,9 @@ func newFFEngine(sp *sifault.Space, patterns []*sifault.Pattern, idxs []int32) *
 // pack interns every candidate into packed care words plus the
 // full/loose/bus metadata the filter masks operate on.
 func (e *ffEngine) pack(sp *sifault.Space) {
-	n := len(e.idxs)
+	n := len(e.patterns)
 	var nWordsTotal, nCareTotal, nBusTotal int
-	for _, gi := range e.idxs {
-		p := e.patterns[gi]
+	for _, p := range e.patterns {
 		nCareTotal += len(p.Care)
 		nBusTotal += len(p.Bus)
 	}
@@ -203,8 +200,7 @@ func (e *ffEngine) pack(sp *sifault.Space) {
 	e.filtered = make([]bool, n)
 	keyBuf := make([]uint8, 0, 128)
 
-	for ci, gi := range e.idxs {
-		p := e.patterns[gi]
+	for ci, p := range e.patterns {
 		wordOff[ci] = int32(len(wordArena))
 		fullOff[ci] = int32(len(fullArena))
 		looseOff[ci] = int32(len(looseArena))
@@ -485,7 +481,7 @@ func (e *ffEngine) mergeInto(b int, ci int32) {
 			}
 		}
 	}
-	e.weights[b] += int64(e.patterns[e.idxs[ci]].Weight)
+	e.weights[b] += int64(e.patterns[ci].Weight)
 }
 
 // materialize emits accumulator b as a merged pattern, byte-identical
@@ -564,13 +560,11 @@ func (e *ffEngine) resetPass(nOpen int) {
 	}
 }
 
-// run first-fits the shard. bins holds the materialized merged
-// patterns in bin order; raw holds the GLOBAL pattern indices of the
-// untouched pass-through remainder of a context-cut run (cut=true),
-// ascending, so the caller can interleave cut tails across shards in
-// input order.
-func (e *ffEngine) run(ctx context.Context) (bins []*sifault.Pattern, raw []int32, cut bool) {
-	remaining := make([]int32, len(e.idxs))
+// run first-fits the corpus. bins holds the materialized merged
+// patterns in bin order; rest holds the untouched pass-through
+// remainder of a context-cut run (cut=true), in input order.
+func (e *ffEngine) run(ctx context.Context) (bins, rest []*sifault.Pattern, cut bool) {
+	remaining := make([]int32, len(e.patterns))
 	for i := range remaining {
 		remaining[i] = int32(i)
 	}
@@ -579,9 +573,9 @@ func (e *ffEngine) run(ctx context.Context) (bins []*sifault.Pattern, raw []int3
 		// greedy: a cut passes the unmerged remainder through.
 		if ctx.Err() != nil {
 			for _, ci := range remaining {
-				raw = append(raw, e.idxs[ci])
+				rest = append(rest, e.patterns[ci])
 			}
-			return bins, raw, true
+			return bins, rest, true
 		}
 		nOpen := 0
 		openMask := uint64(0)

@@ -291,17 +291,5 @@ func NewParallelEngine(s *soc.SOC, wmax int, eval Evaluator, cfg ParallelConfig)
 // additionally carries the cache statistics and metrics snapshot of
 // the run.
 func TAMOptimizationWith(ctx context.Context, s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model, cfg ParallelConfig) (*Result, error) {
-	cons, err := CompileSOCConstraints(s, groups)
-	if err != nil {
-		return nil, err
-	}
-	eng, cache, err := NewParallelEngine(s, wmax, NewIncrementalSIEvaluatorCons(groups, m, cons), cfg)
-	if err != nil {
-		return nil, err
-	}
-	arch, _, st, err := eng.OptimizeCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Finish(arch, st, groups, m, cache)
+	return Solve(ctx, s, wmax, groups, m, Algo{Kind: AlgoSI}, cfg)
 }

@@ -81,31 +81,6 @@ type GroupingOptions struct {
 	// (partitioning and per-group compaction spans); nil disables
 	// tracing.
 	Trace obs.Sink
-
-	// CompactWorkers is the per-group compaction worker-pool size
-	// passed through to compaction.GreedyWith: 0 keeps the serial
-	// default (workers=1), negative uses runtime.GOMAXPROCS(0). The
-	// worker count never changes a single output bit — sharding is
-	// conflict-component exact — only wall-clock.
-	CompactWorkers int
-
-	// Metrics, when non-nil, receives the compaction shard-plan
-	// counters and gauges (compact_shards, compact_shard_imbalance_pct,
-	// ...).
-	Metrics *obs.Registry
-}
-
-// compactWorkers maps the GroupingOptions convention (0 = serial) onto
-// the compaction.Config one (<=0 = GOMAXPROCS).
-func (o GroupingOptions) compactWorkers() int {
-	switch {
-	case o.CompactWorkers == 0:
-		return 1
-	case o.CompactWorkers < 0:
-		return 0
-	default:
-		return o.CompactWorkers
-	}
 }
 
 // BuildGroups runs the paper's two-dimensional SI test-set compaction
@@ -232,12 +207,7 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 		if len(ps) == 0 {
 			return
 		}
-		comp, stats, cut := compaction.GreedyWith(ctx, sp, ps, compaction.Config{
-			Workers: opts.compactWorkers(),
-			Sink:    opts.Trace,
-			Group:   name,
-			Metrics: opts.Metrics,
-		})
+		comp, stats, cut := compaction.Greedy(ctx, sp, ps, opts.Trace, name)
 		compactionCut = compactionCut || cut
 		res.Stats.Original += stats.Original
 		res.Stats.Compacted += stats.Compacted
@@ -303,19 +273,7 @@ func TAMOptimization(s *soc.SOC, wmax int, groups []*sischedule.Group, m sisched
 // nil error. Only when no valid architecture was produced at all does
 // the context's error come back.
 func TAMOptimizationCtx(ctx context.Context, s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model) (*Result, error) {
-	cons, err := CompileSOCConstraints(s, groups)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := NewEngine(s, wmax, NewIncrementalSIEvaluatorCons(groups, m, cons))
-	if err != nil {
-		return nil, err
-	}
-	arch, _, st, err := eng.OptimizeCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Finish(arch, st, groups, m, nil)
+	return TAMOptimizationWith(ctx, s, wmax, groups, m, ParallelConfig{Workers: 1, CacheSize: -1})
 }
 
 // Finish assembles the Result of an optimization run: it evaluates the

@@ -62,7 +62,7 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 		return err
 	}
 	sp := sifault.NewSpace(s)
-	_, gs := compaction.Greedy(sp, patterns)
+	_, gs, _ := compaction.Greedy(context.Background(), sp, patterns, nil, "")
 	_, ds, err := compaction.DSATUR(patterns)
 	if err != nil {
 		return err

@@ -3,7 +3,6 @@ package chaostest
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -75,19 +74,14 @@ func TestChaos(t *testing.T) {
 	writeBench(t, res)
 }
 
-// writeBench records the latency percentiles at the repo root so CI
-// diffs serving latency across commits. CHAOS_BENCH_OUT redirects the
-// file (sitperf measures a fresh run without clobbering the committed
-// baseline).
+// writeBench records the latency percentiles to the file named by
+// CHAOS_BENCH_OUT, when set: CI uploads it as an artifact, and sitperf
+// points it at a scratch file to measure a fresh run. Unset, nothing
+// is written, so the test suite never rewrites a tracked file.
 func writeBench(t *testing.T, res *Result) {
 	path := os.Getenv("CHAOS_BENCH_OUT")
 	if path == "" {
-		root, err := repoRoot()
-		if err != nil {
-			t.Logf("skipping BENCH_serve.json: %v", err)
-			return
-		}
-		path = filepath.Join(root, "BENCH_serve.json")
+		return
 	}
 	out := struct {
 		*Result
@@ -101,22 +95,4 @@ func writeBench(t *testing.T, res *Result) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s", path)
-}
-
-// repoRoot walks up from the test's working directory to go.mod.
-func repoRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", os.ErrNotExist
-		}
-		dir = parent
-	}
 }

@@ -23,7 +23,6 @@ import (
 	"sitam/internal/sifault"
 	"sitam/internal/sischedule"
 	"sitam/internal/soc"
-	"sitam/internal/trarchitect"
 )
 
 // State is a job's position in its lifecycle. The machine is
@@ -111,10 +110,10 @@ func (r *Request) Validate(lim Limits) error {
 		return fmt.Errorf("exactly one of soc or source must be set")
 	}
 	if r.Algo == "" {
-		r.Algo = "si"
+		r.Algo = core.AlgoSI
 	}
 	switch r.Algo {
-	case "si", "baseline", "ils":
+	case core.AlgoSI, core.AlgoBaseline, core.AlgoILS:
 	default:
 		return fmt.Errorf("unknown algo %q (want si, baseline or ils)", r.Algo)
 	}
@@ -376,32 +375,8 @@ func (j *Job) run(ctx context.Context, hooks bool, maxJobWorkers int, persist *c
 		workers = maxJobWorkers
 	}
 	cfg := core.ParallelConfig{Workers: workers, MaxEvals: req.MaxEvals, Trace: j.Trace, Persist: persist}
-	model := sischedule.DefaultModel()
-
-	var res *core.Result
-	switch req.Algo {
-	case "baseline":
-		res, err = trarchitect.OptimizeThenScheduleSIWith(ctx, s, req.Wmax, grouping.Groups, model, cfg)
-	case "ils":
-		cons, cerr := core.CompileSOCConstraints(s, grouping.Groups)
-		if cerr != nil {
-			err = cerr
-			break
-		}
-		eng, cache, eerr := core.NewParallelEngine(s, req.Wmax, core.NewIncrementalSIEvaluatorCons(grouping.Groups, model, cons), cfg)
-		if eerr != nil {
-			err = eerr
-			break
-		}
-		arch, _, st, oerr := eng.OptimizeILSRestartsCtx(ctx, req.Kicks, req.Restarts, req.Seed)
-		if oerr != nil {
-			err = oerr
-			break
-		}
-		res, err = eng.Finish(arch, st, grouping.Groups, model, cache)
-	default:
-		res, err = core.TAMOptimizationWith(ctx, s, req.Wmax, grouping.Groups, model, cfg)
-	}
+	res, err := core.Solve(ctx, s, req.Wmax, grouping.Groups, sischedule.DefaultModel(),
+		core.Algo{Kind: req.Algo, Kicks: req.Kicks, Restarts: req.Restarts, Seed: req.Seed}, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -116,11 +117,8 @@ type submitAccepted struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	body := http.MaxBytesReader(w, r.Body, 2<<20)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, 2<<20))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "decoding request: " + err.Error()})
 		return
 	}
@@ -145,6 +143,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		StatusURL: "/v1/jobs/" + job.ID,
 		EventsURL: "/v1/jobs/" + job.ID + "/events",
 	})
+}
+
+// decodeRequest decodes a submitted job description, rejecting
+// unknown fields. Range checks are Request.Validate's, at admission.
+func decodeRequest(r io.Reader) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

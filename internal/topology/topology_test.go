@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"testing"
 
 	"sitam/internal/compaction"
@@ -201,7 +202,7 @@ func TestTopologyPatternsFeedCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := sifault.NewSpace(s)
-	out, stats := compaction.Greedy(sp, patterns)
+	out, stats, _ := compaction.Greedy(context.Background(), sp, patterns, nil, "")
 	if stats.Compacted >= len(patterns) {
 		t.Errorf("no compaction achieved: %d -> %d", len(patterns), stats.Compacted)
 	}

@@ -96,13 +96,5 @@ func OptimizeThenScheduleSICtx(ctx context.Context, s *soc.SOC, wmax int, groups
 // cfg. Result.Cause, Result.Cache and Result.Metrics are populated the
 // same way as for the SI-aware optimizer.
 func OptimizeThenScheduleSIWith(ctx context.Context, s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model, cfg core.ParallelConfig) (*core.Result, error) {
-	eng, cache, err := core.NewParallelEngine(s, wmax, core.InTestEvaluator{}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	arch, _, st, err := eng.OptimizeCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Finish(arch, st, groups, m, cache)
+	return core.Solve(ctx, s, wmax, groups, m, core.Algo{Kind: core.AlgoBaseline}, cfg)
 }
