@@ -13,21 +13,27 @@
 //
 // A minimal end-to-end run:
 //
+//	ctx := context.Background()
 //	s, _ := sitam.LoadBenchmark("p93791")
-//	patterns, _ := sitam.GeneratePatterns(s, sitam.GenConfig{N: 10000, Seed: 1})
-//	groups, _ := sitam.BuildGroups(s, patterns, sitam.GroupingOptions{Parts: 4, Seed: 1})
-//	res, _ := sitam.Optimize(s, 32, groups.Groups, sitam.DefaultModel())
+//	patterns, _, _ := sitam.GeneratePatterns(ctx, s, sitam.GenConfig{N: 10000, Seed: 1})
+//	groups, _ := sitam.BuildGroups(ctx, s, patterns, sitam.GroupingOptions{Parts: 4, Seed: 1})
+//	res, _ := sitam.Optimize(ctx, s, 32, groups.Groups, sitam.DefaultModel(), sitam.Algo{}, sitam.ParallelConfig{})
 //	fmt.Println(res.Breakdown.TimeSOC)
+//
+// Each operation has exactly one entry point, which takes its context,
+// constraint set and configuration as explicit parameters; Optimize
+// selects the SI-aware optimizer, the TR-Architect baseline or iterated
+// local search through its Algo argument.
 //
 // # Cancellation, deadlines, and partial results
 //
-// Every expensive entry point has a context-aware variant (OptimizeCtx,
-// OptimizeILSCtx, BuildGroupsCtx, GeneratePatternsCtx,
-// ExactScheduleSICtx, RunTableCtx). They are anytime algorithms: when
-// the context is cancelled or its deadline expires mid-search, the best
-// valid result found so far is returned with its Partial flag set and a
-// nil error; the context's error comes back only when nothing usable
-// was produced. See the README section of the same name for details.
+// Every expensive entry point takes a context (Optimize, BuildGroups,
+// GeneratePatterns, ExactScheduleSI, RunTable). They are anytime
+// algorithms: when the context is cancelled or its deadline expires
+// mid-search, the best valid result found so far is returned with its
+// Partial flag set and a nil error; the context's error comes back only
+// when nothing usable was produced. See the README section of the same
+// name for details.
 //
 // # Observability
 //
@@ -118,17 +124,12 @@ type (
 
 // GeneratePatterns produces random SI test patterns per the paper's
 // experimental protocol (one victim, 2-6 aggressors, shared-bus usage).
-func GeneratePatterns(s *SOC, cfg GenConfig) (ps []*Pattern, err error) {
-	defer guard(&err)
-	return sifault.Generate(s, cfg)
-}
-
-// GeneratePatternsCtx is GeneratePatterns as an anytime algorithm: on
-// cancellation or deadline expiry the prefix generated so far comes
-// back with partial set and a nil error (the prefix is exactly what a
-// full run with the same seed would have produced first). The context's
-// error is returned only when no pattern was generated at all.
-func GeneratePatternsCtx(ctx context.Context, s *SOC, cfg GenConfig) (ps []*Pattern, partial bool, err error) {
+// It is an anytime algorithm: on cancellation or deadline expiry the
+// prefix generated so far comes back with partial set and a nil error
+// (the prefix is exactly what a full run with the same seed would have
+// produced first). The context's error is returned only when no
+// pattern was generated at all.
+func GeneratePatterns(ctx context.Context, s *SOC, cfg GenConfig) (ps []*Pattern, partial bool, err error) {
 	defer guard(&err)
 	return sifault.GenerateCtx(ctx, s, cfg)
 }
@@ -177,19 +178,13 @@ type (
 
 // BuildGroups runs the paper's two-dimensional SI test-set compaction:
 // hypergraph partitioning of the cores plus greedy clique-cover
-// compaction within each resulting group.
-func BuildGroups(s *SOC, patterns []*Pattern, opts GroupingOptions) (gr *GroupingResult, err error) {
-	defer guard(&err)
-	return core.BuildGroups(s, patterns, opts)
-}
-
-// BuildGroupsCtx is BuildGroups with graceful degradation under a done
-// context: the partitioner skips refinement and the compaction passes
-// remaining patterns through unmerged, and the result is marked Partial
-// but remains a valid, schedulable grouping covering every input
-// pattern. The context's error is returned only when it was done before
-// any work started.
-func BuildGroupsCtx(ctx context.Context, s *SOC, patterns []*Pattern, opts GroupingOptions) (gr *GroupingResult, err error) {
+// compaction within each resulting group. Under a done context it
+// degrades gracefully: the partitioner skips refinement and the
+// compaction passes remaining patterns through unmerged, and the result
+// is marked Partial but remains a valid, schedulable grouping covering
+// every input pattern. The context's error is returned only when it
+// was done before any work started.
+func BuildGroups(ctx context.Context, s *SOC, patterns []*Pattern, opts GroupingOptions) (gr *GroupingResult, err error) {
 	defer guard(&err)
 	return core.BuildGroupsCtx(ctx, s, patterns, opts)
 }
@@ -213,20 +208,22 @@ type (
 func DefaultModel() Model { return sischedule.DefaultModel() }
 
 // ScheduleSI schedules SI test groups on an architecture (Algorithm 1)
-// and returns the schedule with T_soc_si. Invalid architectures (e.g.
-// cores missing from every rail, non-positive rail widths) are rejected
-// with an error.
-func ScheduleSI(a *Architecture, groups []*Group, m Model) (sch *Schedule, err error) {
+// under a compiled constraint set and returns the schedule with
+// T_soc_si. Power budget, precedence and exclusion are honored by the
+// same list scheduler; a nil cons is unconstrained. Invalid
+// architectures (e.g. cores missing from every rail, non-positive rail
+// widths) are rejected with an error.
+func ScheduleSI(a *Architecture, groups []*Group, m Model, cons *Constraints) (sch *Schedule, err error) {
 	defer guard(&err)
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	return sischedule.ScheduleSITest(a, groups, m)
+	return sischedule.ScheduleSITestConsObs(a, groups, m, cons, nil)
 }
 
-// ScheduleSIPower is ScheduleSI under a test power ceiling: the summed
-// boundary-cell activity of concurrently running groups never exceeds
-// budget (<= 0 means unlimited).
+// ScheduleSIPower is ScheduleSI under a test power ceiling alone: the
+// summed boundary-cell activity of concurrently running groups never
+// exceeds budget (<= 0 means unlimited).
 func ScheduleSIPower(a *Architecture, groups []*Group, m Model, budget int64) (sch *Schedule, err error) {
 	defer guard(&err)
 	if err := a.Validate(); err != nil {
@@ -244,53 +241,20 @@ func CompileConstraints(s *SOC, groups []*Group) (c *Constraints, err error) {
 	return core.CompileSOCConstraints(s, groups)
 }
 
-// ScheduleSICons is ScheduleSI under a compiled constraint set: power
-// budget, precedence and exclusion are honored by the same Algorithm 1
-// list scheduler. A nil cons is exactly ScheduleSI.
-func ScheduleSICons(a *Architecture, groups []*Group, m Model, cons *Constraints) (sch *Schedule, err error) {
-	defer guard(&err)
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return sischedule.ScheduleSITestCons(a, groups, m, cons)
-}
-
 // ExactScheduleSI returns the provably minimal SI testing time for at
-// most sischedule.MaxExactGroups groups, via branch and bound. Used to
-// audit Algorithm 1's schedules.
-func ExactScheduleSI(a *Architecture, groups []*Group, m Model) (t int64, err error) {
-	defer guard(&err)
-	if err := a.Validate(); err != nil {
-		return 0, err
-	}
-	t, _, err = sischedule.ExactSchedule(a, groups, m)
-	return t, err
-}
-
-// ExactScheduleSICtx is ExactScheduleSI as an anytime algorithm. On
-// cancellation or deadline expiry the best complete schedule found so
-// far is returned with partial set — a valid achievable makespan and
-// an upper bound on the optimum, never below it. The context's error
-// is returned only when no complete schedule was found.
-func ExactScheduleSICtx(ctx context.Context, a *Architecture, groups []*Group, m Model) (t int64, partial bool, err error) {
+// most sischedule.MaxExactGroups groups, via branch and bound, under a
+// compiled constraint set (nil = unconstrained). Used to audit
+// Algorithm 1's schedules. It is an anytime algorithm: on cancellation
+// or deadline expiry the best complete schedule found so far is
+// returned with partial set — a valid achievable makespan and an upper
+// bound on the optimum, never below it. The context's error is
+// returned only when no complete schedule was found.
+func ExactScheduleSI(ctx context.Context, a *Architecture, groups []*Group, m Model, cons *Constraints) (t int64, partial bool, err error) {
 	defer guard(&err)
 	if err := a.Validate(); err != nil {
 		return 0, false, err
 	}
-	t, _, partial, err = sischedule.ExactScheduleCtx(ctx, a, groups, m)
-	return t, partial, err
-}
-
-// ExactScheduleSIConsCtx is ExactScheduleSICtx under a compiled
-// constraint set: branch and bound over precedence-feasible schedules
-// respecting the power budget and exclusions. A nil cons is exactly
-// ExactScheduleSICtx.
-func ExactScheduleSIConsCtx(ctx context.Context, a *Architecture, groups []*Group, m Model, cons *Constraints) (t int64, partial bool, err error) {
-	defer guard(&err)
-	if err := a.Validate(); err != nil {
-		return 0, false, err
-	}
-	t, _, partial, err = sischedule.ExactScheduleCons(ctx, a, groups, m, cons)
+	t, _, partial, err = sischedule.ExactSchedule(ctx, a, groups, m, cons, nil)
 	return t, partial, err
 }
 
@@ -300,11 +264,15 @@ type (
 	Result = core.Result
 	// Breakdown reports T_in, T_si and their sum.
 	Breakdown = core.Breakdown
-	// ParallelConfig bundles the concurrency and memoization knobs of
-	// the *With optimization entry points: Workers bounds concurrent
+	// ParallelConfig bundles the concurrency, memoization, budget and
+	// observability knobs of Optimize: Workers bounds concurrent
 	// candidate evaluations (0 = GOMAXPROCS, 1 = serial) and CacheSize
 	// caps the evaluation cache (0 = default, negative = disabled).
 	ParallelConfig = core.ParallelConfig
+	// Algo selects the optimizer Optimize runs: Kind is AlgoSI (the
+	// zero value ""), AlgoBaseline or AlgoILS, and Kicks, Restarts and
+	// Seed parameterize AlgoILS.
+	Algo = core.Algo
 	// CacheStats reports the evaluation cache's hit/miss/eviction
 	// counters for a run.
 	CacheStats = core.CacheStats
@@ -313,6 +281,22 @@ type (
 	// and append its new entries back. The caller owns the lifecycle
 	// (OpenCacheFile / Close).
 	CacheFile = core.CacheFile
+)
+
+// The optimizer kinds of Algo.Kind.
+const (
+	// AlgoSI is the paper's SI-aware TAM_Optimization (Algorithm 2).
+	AlgoSI = core.AlgoSI
+	// AlgoBaseline is the SI-oblivious TR-Architect baseline followed
+	// by SI scheduling on its architecture (the paper's T_[8]
+	// protocol).
+	AlgoBaseline = core.AlgoBaseline
+	// AlgoILS is Algorithm 2 followed by Kicks rounds of iterated
+	// local search (an extension beyond the paper's greedy fixed
+	// point), run as Restarts independent searches seeded Seed,
+	// Seed+1, ... whose best architecture wins (ties broken by the
+	// lowest seed). Restarts < 1 is an error.
+	AlgoILS = core.AlgoILS
 )
 
 // ErrCacheLocked reports that another process holds the cache file's
@@ -386,87 +370,29 @@ func ValidateTrace(events []TraceEvent) (err error) {
 	return obs.ValidateTrace(events)
 }
 
-// Optimize runs the paper's SI-aware TAM_Optimization (Algorithm 2).
-func Optimize(s *SOC, wmax int, groups []*Group, m Model) (res *Result, err error) {
-	defer guard(&err)
-	return core.TAMOptimization(s, wmax, groups, m)
-}
-
-// OptimizeCtx is Optimize as an anytime algorithm: on cancellation or
-// deadline expiry mid-search the best architecture found so far is
-// evaluated and returned with Result.Partial set and a nil error. The
+// Optimize designs a TestRail architecture of total width wmax for s
+// with the optimizer algo selects, schedules the SI groups on it, and
+// returns the architecture with its time breakdown. The zero Algo runs
+// the paper's SI-aware TAM_Optimization (Algorithm 2).
+//
+// cfg sets parallel candidate evaluation, the memoized evaluation
+// cache, the evaluation budget and observability. The independent
+// candidates of each optimization step fan out across a
+// cfg.Workers-sized pool; selection is deterministic, so the returned
+// architecture is byte-identical to a serial run's at any worker count.
+// Result.Cache carries the cache counters of the run.
+//
+// Optimize is an anytime algorithm: on cancellation or deadline expiry
+// mid-search the best architecture found so far is evaluated and
+// returned with Result.Partial set and a nil error. The best-so-far
+// objective is monotonically non-increasing, so a partial result's
+// T_soc is never below what the complete run would achieve. The
 // context's error comes back only when no valid architecture was
 // produced at all (the context was done before the search started, or
 // it fired while the start solution was still infeasible).
-func OptimizeCtx(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model) (res *Result, err error) {
+func Optimize(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model, algo Algo, cfg ParallelConfig) (res *Result, err error) {
 	defer guard(&err)
-	return core.TAMOptimizationCtx(ctx, s, wmax, groups, m)
-}
-
-// OptimizeWith is OptimizeCtx with parallel candidate evaluation and a
-// memoized evaluation cache per cfg. The independent candidates of each
-// optimization step fan out across a cfg.Workers-sized pool; selection
-// is deterministic, so the returned architecture is byte-identical to a
-// serial run's at any worker count. Result.Cache carries the cache
-// counters of the run.
-func OptimizeWith(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model, cfg ParallelConfig) (res *Result, err error) {
-	defer guard(&err)
-	return core.TAMOptimizationWith(ctx, s, wmax, groups, m, cfg)
-}
-
-// OptimizeBaseline runs the SI-oblivious TR-Architect baseline and then
-// schedules the SI groups on the resulting architecture (the paper's
-// T_[8] protocol).
-func OptimizeBaseline(s *SOC, wmax int, groups []*Group, m Model) (res *Result, err error) {
-	defer guard(&err)
-	return trarchitect.OptimizeThenScheduleSI(s, wmax, groups, m)
-}
-
-// OptimizeBaselineCtx is OptimizeBaseline as an anytime algorithm, with
-// the same partial-result semantics as OptimizeCtx.
-func OptimizeBaselineCtx(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model) (res *Result, err error) {
-	defer guard(&err)
-	return trarchitect.OptimizeThenScheduleSICtx(ctx, s, wmax, groups, m)
-}
-
-// OptimizeBaselineWith is OptimizeBaselineCtx with parallel candidate
-// evaluation and memoization per cfg, with the same determinism
-// guarantee as OptimizeWith.
-func OptimizeBaselineWith(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model, cfg ParallelConfig) (res *Result, err error) {
-	defer guard(&err)
-	return trarchitect.OptimizeThenScheduleSIWith(ctx, s, wmax, groups, m, cfg)
-}
-
-// OptimizeILS runs the SI-aware optimization followed by the given
-// number of iterated-local-search perturbation rounds (an extension
-// beyond the paper's greedy fixed point; 0 kicks equals Optimize).
-func OptimizeILS(s *SOC, wmax int, groups []*Group, m Model, kicks int, seed int64) (res *Result, err error) {
-	defer guard(&err)
-	return OptimizeILSCtx(context.Background(), s, wmax, groups, m, kicks, seed)
-}
-
-// OptimizeILSCtx is OptimizeILS as an anytime algorithm: the context is
-// checked throughout the greedy optimization and between ILS kicks, and
-// interruption mid-search returns the best architecture found so far
-// with Result.Partial set and a nil error. The best-so-far objective is
-// monotonically non-increasing, so a partial result's T_soc is never
-// below what the complete run would achieve. The context's error comes
-// back only when no valid architecture was produced.
-func OptimizeILSCtx(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model, kicks int, seed int64) (res *Result, err error) {
-	defer guard(&err)
-	return core.Solve(ctx, s, wmax, groups, m, core.Algo{Kind: core.AlgoILS, Kicks: kicks, Restarts: 1, Seed: seed},
-		core.ParallelConfig{Workers: 1, CacheSize: -1})
-}
-
-// OptimizeILSWith is OptimizeILSCtx with parallel candidate evaluation,
-// memoization, and `restarts` independent ILS searches seeded seed,
-// seed+1, ... whose best architecture wins (ties broken by the lowest
-// seed, so the outcome is byte-identical at any worker count).
-// restarts < 1 is an error; restarts == 1 matches OptimizeILSCtx run
-// with cfg exactly. Result.Cache carries the cache counters of the run.
-func OptimizeILSWith(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model, kicks, restarts int, seed int64, cfg ParallelConfig) (res *Result, err error) {
-	defer guard(&err)
-	return core.Solve(ctx, s, wmax, groups, m, core.Algo{Kind: core.AlgoILS, Kicks: kicks, Restarts: restarts, Seed: seed}, cfg)
+	return core.Solve(ctx, s, wmax, groups, m, algo, cfg)
 }
 
 // InTestLowerBound returns the Goel-Marinissen lower bound on the
@@ -492,18 +418,13 @@ type (
 	Table = experiments.Table
 )
 
-// RunTable regenerates one of the paper's evaluation tables for s.
-func RunTable(s *SOC, cfg TableConfig) (t *Table, err error) {
-	defer guard(&err)
-	return experiments.RunTable(s, cfg)
-}
-
-// RunTableCtx is RunTable with graceful degradation under a done
-// context: the cells completed before the interruption come back in a
-// Table marked Partial with a nil error (cells in flight are discarded,
-// so every reported value is exact). The context's error is returned
-// only when it fired before the first cell completed.
-func RunTableCtx(ctx context.Context, s *SOC, cfg TableConfig) (t *Table, err error) {
+// RunTable regenerates one of the paper's evaluation tables for s. It
+// degrades gracefully under a done context: the cells completed before
+// the interruption come back in a Table marked Partial with a nil error
+// (cells in flight are discarded, so every reported value is exact).
+// The context's error is returned only when it fired before the first
+// cell completed.
+func RunTable(ctx context.Context, s *SOC, cfg TableConfig) (t *Table, err error) {
 	defer guard(&err)
 	return experiments.RunTableCtx(ctx, s, cfg)
 }

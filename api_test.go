@@ -2,9 +2,14 @@ package sitam
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
+
+// serialCfg is the single-worker, cache-free configuration the facade
+// tests optimize under.
+var serialCfg = ParallelConfig{Workers: 1, CacheSize: -1}
 
 // TestFacadeEndToEnd drives the whole public API the way the package
 // documentation advertises.
@@ -17,11 +22,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	patterns, err := GeneratePatterns(s, GenConfig{N: 2000, Seed: 1})
+	patterns, _, err := GeneratePatterns(context.Background(), s, GenConfig{N: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := BuildGroups(s, patterns, GroupingOptions{Parts: 2, Seed: 1})
+	groups, err := BuildGroups(context.Background(), s, patterns, GroupingOptions{Parts: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,14 +34,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("Original = %d", groups.Stats.Original)
 	}
 
-	res, err := Optimize(s, 16, groups.Groups, DefaultModel())
+	res, err := Optimize(context.Background(), s, 16, groups.Groups, DefaultModel(), Algo{}, serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Architecture.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	base, err := OptimizeBaseline(s, 16, groups.Groups, DefaultModel())
+	base, err := Optimize(context.Background(), s, 16, groups.Groups, DefaultModel(), Algo{Kind: AlgoBaseline}, serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +53,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			base.Breakdown.TimeIn, res.Breakdown.TimeIn)
 	}
 
-	sched, err := ScheduleSI(res.Architecture, groups.Groups, DefaultModel())
+	sched, err := ScheduleSI(res.Architecture, groups.Groups, DefaultModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +103,7 @@ func TestFacadeTopologyPath(t *testing.T) {
 	if len(mt) == 0 {
 		t.Error("no reduced MT patterns")
 	}
-	groups, err := BuildGroups(s, ma, GroupingOptions{Parts: 2, Seed: 7})
+	groups, err := BuildGroups(context.Background(), s, ma, GroupingOptions{Parts: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +136,15 @@ func TestFacadeExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patterns, err := GeneratePatterns(s, GenConfig{N: 800, Seed: 2})
+	patterns, _, err := GeneratePatterns(context.Background(), s, GenConfig{N: 800, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: 2, Seed: 2})
+	gr, err := BuildGroups(context.Background(), s, patterns, GroupingOptions{Parts: 2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OptimizeILS(s, 12, gr.Groups, DefaultModel(), 5, 1)
+	res, err := Optimize(context.Background(), s, 12, gr.Groups, DefaultModel(), Algo{Kind: AlgoILS, Kicks: 5, Restarts: 1, Seed: 1}, serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +152,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain, err := Optimize(s, 12, gr.Groups, DefaultModel())
+	plain, err := Optimize(context.Background(), s, 12, gr.Groups, DefaultModel(), Algo{}, serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +160,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Errorf("ILS %d worse than plain %d", res.Breakdown.TimeSOC, plain.Breakdown.TimeSOC)
 	}
 
-	opt, err := ExactScheduleSI(res.Architecture, gr.Groups, DefaultModel())
+	opt, _, err := ExactScheduleSI(context.Background(), res.Architecture, gr.Groups, DefaultModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +190,7 @@ func TestFacadeRunTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := RunTable(s, TableConfig{Widths: []int{8}, Nr: []int{1000}, Groupings: []int{1}, Seed: 1})
+	tbl, err := RunTable(context.Background(), s, TableConfig{Widths: []int{8}, Nr: []int{1000}, Groupings: []int{1}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func benchTable(b *testing.B, name string) {
 	var lastD8, lastDg float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.RunTable(s, cfg)
+		tbl, err := experiments.RunTableCtx(context.Background(), s, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func BenchmarkFig3Schedule(b *testing.B) {
 // the care-core hypergraph of a real pattern set into 4 parts.
 func BenchmarkFig2Partition(b *testing.B) {
 	s := soc.MustLoadBenchmark("p93791")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 20000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 20000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func BenchmarkFig2Partition(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := hypergraph.PartitionK(h, 4, hypergraph.Options{Seed: int64(i)}); err != nil {
+		if _, _, _, err := hypergraph.PartitionK(context.Background(), h, 4, hypergraph.Options{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -162,7 +162,7 @@ func BenchmarkPatternGeneration(b *testing.B) {
 	s := soc.MustLoadBenchmark("p93791")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sifault.Generate(s, sifault.GenConfig{N: 10000, Seed: int64(i)}); err != nil {
+		if _, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func BenchmarkPatternGeneration(b *testing.B) {
 
 func BenchmarkGreedyCompaction10k(b *testing.B) {
 	s := soc.MustLoadBenchmark("p93791")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 10000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func BenchmarkTRArchitectP93791W32(b *testing.B) {
 	s := soc.MustLoadBenchmark("p93791")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := trarchitect.Optimize(s, 32); err != nil {
+		if _, _, _, err := trarchitect.OptimizeWithCtx(context.Background(), s, 32, serialCfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,17 +205,17 @@ func BenchmarkTRArchitectP93791W32(b *testing.B) {
 
 func BenchmarkTAMOptimizationP93791W32(b *testing.B) {
 	s := soc.MustLoadBenchmark("p93791")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 10000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.TAMOptimization(s, 32, gr.Groups, sischedule.DefaultModel()); err != nil {
+		if _, err := core.TAMOptimizationWith(context.Background(), s, 32, gr.Groups, sischedule.DefaultModel(), serialCfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -223,15 +223,15 @@ func BenchmarkTAMOptimizationP93791W32(b *testing.B) {
 
 func BenchmarkScheduleSITest(b *testing.B) {
 	s := soc.MustLoadBenchmark("p93791")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 10000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 8, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	arch, _, err := trarchitect.Optimize(s, 32)
+	arch, _, _, err := trarchitect.OptimizeWithCtx(context.Background(), s, 32, serialCfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func BenchmarkScheduleSITest(b *testing.B) {
 // reported metric is the compacted pattern count.
 func Benchmark_AblationCover(b *testing.B) {
 	s := soc.MustLoadBenchmark("p34392")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 1500, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 1500, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func Benchmark_AblationCover(b *testing.B) {
 // resulting T_soc at W=32 — the trade-off behind the T_g_i columns.
 func Benchmark_AblationGrouping(b *testing.B) {
 	s := soc.MustLoadBenchmark("p34392")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 20000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 20000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -288,11 +288,11 @@ func Benchmark_AblationGrouping(b *testing.B) {
 		b.Run(map[int]string{1: "g1", 2: "g2", 4: "g4", 8: "g8"}[g], func(b *testing.B) {
 			var tsoc int64
 			for i := 0; i < b.N; i++ {
-				gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: g, Seed: 1})
+				gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: g, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := core.TAMOptimization(s, 32, gr.Groups, sischedule.DefaultModel())
+				res, err := core.TAMOptimizationWith(context.Background(), s, 32, gr.Groups, sischedule.DefaultModel(), serialCfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -307,11 +307,11 @@ func Benchmark_AblationGrouping(b *testing.B) {
 // the paper's greedy fixed point (extension; see internal/core/ils.go).
 func Benchmark_AblationILS(b *testing.B) {
 	s := soc.MustLoadBenchmark("p34392")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 10000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func Benchmark_AblationILS(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, obj, err = eng.OptimizeILS(kicks, 1)
+				_, obj, _, err = eng.OptimizeILSRestartsCtx(context.Background(), kicks, 1, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -346,11 +346,11 @@ func Benchmark_AblationILS(b *testing.B) {
 // hit rate of the last run is attached as a metric.
 func benchParallelEval(b *testing.B, name string, wmax int) {
 	s := soc.MustLoadBenchmark(name)
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 10000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func benchParallelEval(b *testing.B, name string, wmax int) {
 		name string
 		cfg  core.ParallelConfig
 	}{
-		{"serial_nocache", core.ParallelConfig{Workers: 1, CacheSize: -1}},
+		{"serial_nocache", serialCfg},
 		{"serial_cache", core.ParallelConfig{Workers: 1}},
 		{"workers2_cache", core.ParallelConfig{Workers: 2}},
 		{"workers8_cache", core.ParallelConfig{Workers: 8}},
@@ -389,11 +389,11 @@ func Benchmark_ParallelEvalP93791W64(b *testing.B) { benchParallelEval(b, "p9379
 // almost every evaluation from the cache.
 func Benchmark_CacheColdVsWarm(b *testing.B) {
 	s := soc.MustLoadBenchmark("p34392")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 10000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -438,11 +438,11 @@ func Benchmark_CacheColdVsWarm(b *testing.B) {
 // the first repeated sweep after restart.
 func Benchmark_CachePersistentRestart(b *testing.B) {
 	s := soc.MustLoadBenchmark("p34392")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 10000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -508,17 +508,17 @@ func Benchmark_CachePersistentRestart(b *testing.B) {
 // comparison is pure wall-clock.
 func Benchmark_IncrementalEval(b *testing.B) {
 	s := soc.MustLoadBenchmark("p93791")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 10000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := sischedule.DefaultModel()
 	run := func(b *testing.B, eval core.Evaluator) {
-		eng, _, err := core.NewParallelEngine(s, 64, eval, core.ParallelConfig{Workers: 1, CacheSize: -1})
+		eng, _, err := core.NewParallelEngine(s, 64, eval, serialCfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -534,7 +534,7 @@ func Benchmark_IncrementalEval(b *testing.B) {
 		run(b, &core.SIEvaluator{Groups: gr.Groups, Model: m})
 	})
 	b.Run("incremental", func(b *testing.B) {
-		run(b, core.NewIncrementalSIEvaluator(gr.Groups, m))
+		run(b, core.NewIncrementalSIEvaluatorCons(gr.Groups, m, nil))
 	})
 }
 
@@ -547,11 +547,11 @@ func Benchmark_IncrementalEval(b *testing.B) {
 // numbers live in BENCH_incremental.json).
 func Benchmark_ColdCacheGuard(b *testing.B) {
 	s := soc.MustLoadBenchmark("p34392")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 10000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -564,11 +564,11 @@ func Benchmark_ColdCacheGuard(b *testing.B) {
 		return time.Since(t0)
 	}
 	// Warm the planner memo and allocator so both variants run steady.
-	time1(core.ParallelConfig{Workers: 1, CacheSize: -1})
+	time1(serialCfg)
 	var uncached, cached time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		uncached += time1(core.ParallelConfig{Workers: 1, CacheSize: -1})
+		uncached += time1(serialCfg)
 		cached += time1(core.ParallelConfig{Workers: 1}) // fresh cache: cold run
 	}
 	b.StopTimer()
@@ -583,15 +583,15 @@ func Benchmark_ColdCacheGuard(b *testing.B) {
 // concurrent schedule against serial group application.
 func Benchmark_AblationSchedulingOverlap(b *testing.B) {
 	s := soc.MustLoadBenchmark("p93791")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 20000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 20000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 8, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	arch, _, err := trarchitect.Optimize(s, 32)
+	arch, _, _, err := trarchitect.OptimizeWithCtx(context.Background(), s, 32, serialCfg)
 	if err != nil {
 		b.Fatal(err)
 	}

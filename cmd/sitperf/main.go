@@ -9,10 +9,13 @@
 //	sitperf -iters 5 -threshold 1.4
 //	sitperf -report perf.json    # machine-readable comparison report
 //	sitperf -update              # refresh the baselines from this run
-//	sitperf -selftest            # verify the detector flags an injected 2x slowdown
+//	sitperf -selftest            # verify the detector flags an injected 2x slowdown and 2x speedup
 //
-// Exit codes: 0 clean, 1 run/usage error, 2 regression detected (the
-// report names each offender). The threshold is deliberately generous:
+// Exit codes: 0 clean, 1 run/usage error, 2 regression or stale
+// baseline detected (the report names each offender). A stale baseline
+// is one the code now beats by more than the bar: it hides the next
+// regression of the same size, so it fails the run like a regression
+// until it is re-recorded with -update. The threshold is deliberately generous:
 // the baselines were captured on a shared VM whose wall-clock varies
 // run to run by 20-40%, so only multiples beyond that band are flagged.
 // The serve suite compares chaos-harness latency percentiles, which
@@ -117,7 +120,7 @@ func main() {
 		update     = flag.Bool("update", false, "rewrite the baseline files from this run's medians instead of comparing")
 		reportPath = flag.String("report", "", "write the machine-readable comparison report (JSON) to this path")
 		baseDir    = flag.String("baselines", ".", "directory holding the BENCH_*.json baselines (the repo root)")
-		selftest   = flag.Bool("selftest", false, "no benches: verify the comparator passes an unmodified run and flags an injected 2x slowdown")
+		selftest   = flag.Bool("selftest", false, "no benches: verify the comparator passes an unmodified run and flags an injected 2x slowdown and 2x speedup")
 		verbose    = flag.Bool("v", false, "stream go test output")
 	)
 	flag.Parse()
@@ -151,6 +154,7 @@ func main() {
 		sr := compareSuite(s, base, measured, *threshold)
 		rep.Suites = append(rep.Suites, sr)
 		rep.Regressions += sr.Regressions
+		rep.Stale += sr.Stale
 
 		if *update {
 			if err := updateBaseline(filepath.Join(*baseDir, s.baseline), s, measured); err != nil {
@@ -173,7 +177,7 @@ func main() {
 			os.Exit(exitError)
 		}
 	}
-	if !*update && rep.Regressions > 0 {
+	if !*update && rep.Regressions+rep.Stale > 0 {
 		os.Exit(exitRegression)
 	}
 	os.Exit(exitOK)
@@ -206,8 +210,9 @@ func selectSuites(names string) ([]suite, error) {
 
 // runSelftest exercises the comparator against synthetic measurements
 // derived from the committed baselines themselves: an unmodified run
-// must produce zero regressions, and the same run slowed 2x must flag
-// every comparable entry. No benchmarks are executed.
+// must produce zero regressions and no stale entries, the same run
+// slowed 2x must flag every comparable entry as a regression, and sped
+// up 2x must flag every entry stale. No benchmarks are executed.
 func runSelftest(selected []suite, baseDir string, threshold float64) int {
 	failed := false
 	for _, s := range selected {
@@ -222,28 +227,33 @@ func runSelftest(selected []suite, baseDir string, threshold float64) int {
 			continue
 		}
 
-		// The injected slowdown is 2x, pushed past the suite's scaled bar
-		// when that bar itself exceeds 2 (the serve latency suite).
+		// The injected slowdown and speedup are 2x, pushed past the
+		// suite's scaled bar when that bar itself exceeds 2 (the serve
+		// latency and lint suites).
 		factor := 2.0
 		if bar := threshold * s.thresholdScale; factor <= bar {
 			factor = bar * 1.5
 		}
-		clean := make(map[string][]float64, len(base))
-		slowed := make(map[string][]float64, len(base))
-		for name, v := range base {
-			clean[name] = []float64{v, v, v}
-			slowed[name] = []float64{factor * v, factor * v, factor * v}
+		scaled := func(f float64) map[string][]float64 {
+			out := make(map[string][]float64, len(base))
+			for name, v := range base {
+				out[name] = []float64{f * v, f * v, f * v}
+			}
+			return out
 		}
-		if sr := compareSuite(s, base, clean, threshold); sr.Regressions != 0 {
-			log.Printf("selftest %s: unmodified run flagged %d regressions", s.name, sr.Regressions)
+		if sr := compareSuite(s, base, scaled(1), threshold); sr.Regressions+sr.Stale != 0 {
+			log.Printf("selftest %s: unmodified run flagged %d regressions, %d stale", s.name, sr.Regressions, sr.Stale)
 			failed = true
 		}
-		sr := compareSuite(s, base, slowed, threshold)
-		if sr.Regressions != len(base) {
+		if sr := compareSuite(s, base, scaled(factor), threshold); sr.Regressions != len(base) {
 			log.Printf("selftest %s: injected %.1fx slowdown flagged %d/%d entries", s.name, factor, sr.Regressions, len(base))
 			failed = true
 		}
-		fmt.Printf("selftest %s: ok (%d entries, %.1fx slowdown flags all)\n", s.name, len(base), factor)
+		if sr := compareSuite(s, base, scaled(1/factor), threshold); sr.Stale != len(base) {
+			log.Printf("selftest %s: injected %.1fx speedup flagged %d/%d entries stale", s.name, factor, sr.Stale, len(base))
+			failed = true
+		}
+		fmt.Printf("selftest %s: ok (%d entries, %.1fx slowdown and speedup flag all)\n", s.name, len(base), factor)
 	}
 	if failed {
 		return exitError
@@ -268,5 +278,8 @@ func printReport(w *os.File, rep *report) {
 		fmt.Fprintf(w, "REGRESSION: %d benchmark(s) beyond threshold %.2fx\n", rep.Regressions, rep.Threshold)
 	} else {
 		fmt.Fprintf(w, "no regressions beyond threshold %.2fx\n", rep.Threshold)
+	}
+	if rep.Stale > 0 {
+		fmt.Fprintf(w, "STALE: %d baseline(s) slower than this run beyond threshold %.2fx; re-record them with sitperf -update\n", rep.Stale, rep.Threshold)
 	}
 }

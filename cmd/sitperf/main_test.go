@@ -48,10 +48,11 @@ func TestCompareFlagsInjectedRegression(t *testing.T) {
 		t.Errorf("unmodified run flagged %d regressions", clean.Regressions)
 	}
 
-	// A large improvement is reported but never fails the run.
-	imp := compareSuite(s, base, map[string][]float64{"BenchmarkA": {100, 100, 100}}, 1.5)
-	if imp.Regressions != 0 || imp.Entries[0].Status != "improvement" {
-		t.Errorf("improvement misclassified: %+v", imp.Entries[0])
+	// A large speedup is no regression, but it leaves the baseline
+	// stale: it is counted so the run fails until it is re-recorded.
+	fast := compareSuite(s, base, map[string][]float64{"BenchmarkA": {100, 100, 100}}, 1.5)
+	if fast.Regressions != 0 || fast.Stale != 1 || fast.Entries[0].Status != "stale" {
+		t.Errorf("stale-fast entry misclassified: %+v", fast)
 	}
 }
 

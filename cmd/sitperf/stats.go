@@ -43,6 +43,7 @@ type report struct {
 	Threshold   float64       `json:"threshold"`
 	Iters       int           `json:"iters"`
 	Regressions int           `json:"regressions"`
+	Stale       int           `json:"stale"`
 	Suites      []suiteReport `json:"suites"`
 }
 
@@ -51,6 +52,7 @@ type suiteReport struct {
 	Baseline    string  `json:"baseline"`
 	Bar         float64 `json:"bar"` // threshold * suite scale
 	Regressions int     `json:"regressions"`
+	Stale       int     `json:"stale"`
 	Entries     []entry `json:"entries"`
 }
 
@@ -67,7 +69,9 @@ type entry struct {
 	// 1.4826, the consistency constant for a normal distribution).
 	NoisePct float64 `json:"noise_pct"`
 	Ratio    float64 `json:"ratio,omitempty"`
-	// Status: ok | regression | improvement | new (no baseline entry).
+	// Status: ok | regression | stale (faster than the baseline by
+	// more than the bar: the baseline no longer describes the code and
+	// must be re-recorded) | new (no baseline entry).
 	Status string `json:"status"`
 }
 
@@ -103,7 +107,8 @@ func compareSuite(s suite, base map[string]float64, measured map[string][]float6
 			e.Status = "regression"
 			sr.Regressions++
 		case e.Ratio < 1/bar:
-			e.Status = "improvement"
+			e.Status = "stale"
+			sr.Stale++
 		default:
 			e.Status = "ok"
 		}

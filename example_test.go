@@ -1,6 +1,7 @@
 package sitam_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,16 +27,17 @@ func demoSOC() *sitam.SOC {
 // two-dimensional compaction, SI-aware TAM optimization — on a small
 // SOC and prints the resulting architecture size and time breakdown.
 func ExampleOptimize() {
+	ctx := context.Background()
 	s := demoSOC()
-	patterns, err := sitam.GeneratePatterns(s, sitam.GenConfig{N: 500, Seed: 1})
+	patterns, _, err := sitam.GeneratePatterns(ctx, s, sitam.GenConfig{N: 500, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	groups, err := sitam.BuildGroups(s, patterns, sitam.GroupingOptions{Parts: 2, Seed: 1})
+	groups, err := sitam.BuildGroups(ctx, s, patterns, sitam.GroupingOptions{Parts: 2, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sitam.Optimize(s, 4, groups.Groups, sitam.DefaultModel())
+	res, err := sitam.Optimize(ctx, s, 4, groups.Groups, sitam.DefaultModel(), sitam.Algo{}, sitam.ParallelConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	s, err := sitam.LoadBenchmark("p34392")
 	if err != nil {
@@ -29,16 +30,16 @@ func main() {
 	sp := sitam.NewPatternSpace(s)
 
 	// Vertical compaction: greedy vs the reference covers.
-	small, err := sitam.GeneratePatterns(s, sitam.GenConfig{N: 18, Seed: 5})
+	small, _, err := sitam.GeneratePatterns(ctx, s, sitam.GenConfig{N: 18, Seed: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, gStats, _ := compaction.Greedy(context.Background(), sp, small, nil, "")
+	_, gStats, _ := compaction.Greedy(ctx, sp, small, nil, "")
 	_, dStats, err := compaction.DSATUR(small)
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, eStats, err := compaction.Exact(small)
+	_, eStats, err := compaction.Exact(ctx, small)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,14 +63,14 @@ func main() {
 	fmt.Printf(" compatible = %v (must be false)\n", compaction.Compatible(a, b))
 
 	// Horizontal compaction at scale.
-	patterns, err := sitam.GeneratePatterns(s, sitam.GenConfig{N: 20000, Seed: 5})
+	patterns, _, err := sitam.GeneratePatterns(ctx, s, sitam.GenConfig{N: 20000, Seed: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nTwo-dimensional compaction of %d patterns on %s:\n", len(patterns), s.Name)
 	fmt.Printf("%-4s %10s %10s %10s %12s\n", "g", "compacted", "ratio", "residual", "max group len")
 	for _, g := range []int{1, 2, 4, 8} {
-		gr, err := sitam.BuildGroups(s, patterns, sitam.GroupingOptions{Parts: g, Seed: 5})
+		gr, err := sitam.BuildGroups(ctx, s, patterns, sitam.GroupingOptions{Parts: g, Seed: 5})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	assign, cut, err := hypergraph.PartitionK(h, 2, hypergraph.Options{Seed: 2})
+	assign, cut, _, err := hypergraph.PartitionK(ctx, h, 2, hypergraph.Options{Seed: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -73,6 +74,7 @@ Module 6
 `
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	s, err := sitam.ParseSOC(strings.NewReader(mySOC))
 	if err != nil {
@@ -80,7 +82,7 @@ func main() {
 	}
 	fmt.Println(s.Summary())
 
-	patterns, err := sitam.GeneratePatterns(s, sitam.GenConfig{N: 20000, Seed: 3})
+	patterns, _, err := sitam.GeneratePatterns(ctx, s, sitam.GenConfig{N: 20000, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func main() {
 	// experiments do.
 	bestGroups := map[int][]*sitam.Group{}
 	for _, g := range []int{1, 2, 3} {
-		gr, err := sitam.BuildGroups(s, patterns, sitam.GroupingOptions{Parts: g, Seed: 3})
+		gr, err := sitam.BuildGroups(ctx, s, patterns, sitam.GroupingOptions{Parts: g, Seed: 3})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -100,11 +102,11 @@ func main() {
 	for _, w := range []int{8, 16, 24, 32} {
 		var base, aware int64
 		for _, g := range []int{1, 2, 3} {
-			b, err := sitam.OptimizeBaseline(s, w, bestGroups[g], sitam.DefaultModel())
+			b, err := sitam.Optimize(ctx, s, w, bestGroups[g], sitam.DefaultModel(), sitam.Algo{Kind: sitam.AlgoBaseline}, sitam.ParallelConfig{})
 			if err != nil {
 				log.Fatal(err)
 			}
-			a, err := sitam.Optimize(s, w, bestGroups[g], sitam.DefaultModel())
+			a, err := sitam.Optimize(ctx, s, w, bestGroups[g], sitam.DefaultModel(), sitam.Algo{}, sitam.ParallelConfig{})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -120,7 +122,7 @@ func main() {
 	}
 
 	// Show the winning architecture at W=16 in detail.
-	res, err := sitam.Optimize(s, 16, bestGroups[2], sitam.DefaultModel())
+	res, err := sitam.Optimize(ctx, s, 16, bestGroups[2], sitam.DefaultModel(), sitam.Algo{}, sitam.ParallelConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	// The analytical estimate, exactly as printed in the paper.
@@ -48,14 +50,14 @@ func main() {
 		len(mt), int64(len(topo.Nets))<<8)
 
 	// What the paper's machinery does to that MA test set.
-	groups, err := sitam.BuildGroups(s, ma, sitam.GroupingOptions{Parts: 4, Seed: 1})
+	groups, err := sitam.BuildGroups(ctx, s, ma, sitam.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n2-D compaction of the MA set: %d -> %d patterns (%.1fx)\n",
 		groups.Stats.Original, groups.TotalCompacted(), groups.Stats.Ratio())
 
-	res, err := sitam.Optimize(s, 32, groups.Groups, sitam.DefaultModel())
+	res, err := sitam.Optimize(ctx, s, 32, groups.Groups, sitam.DefaultModel(), sitam.Algo{}, sitam.ParallelConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

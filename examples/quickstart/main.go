@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	// Table 1-style pattern listing on a small SOC.
@@ -28,7 +30,7 @@ func main() {
 			{ID: 3, Inputs: 2, Outputs: 6, Patterns: 1},
 		},
 	}
-	pats, err := sitam.GeneratePatterns(small, sitam.GenConfig{N: 4, Seed: 7})
+	pats, _, err := sitam.GeneratePatterns(ctx, small, sitam.GenConfig{N: 4, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,11 +47,11 @@ func main() {
 	}
 	fmt.Printf("\n%s\n", s.Summary())
 
-	patterns, err := sitam.GeneratePatterns(s, sitam.GenConfig{N: 10000, Seed: 1})
+	patterns, _, err := sitam.GeneratePatterns(ctx, s, sitam.GenConfig{N: 10000, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	groups, err := sitam.BuildGroups(s, patterns, sitam.GroupingOptions{Parts: 4, Seed: 1})
+	groups, err := sitam.BuildGroups(ctx, s, patterns, sitam.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func main() {
 		groups.Stats.Ratio(), groups.CutPatterns)
 
 	const wmax = 32
-	res, err := sitam.Optimize(s, wmax, groups.Groups, sitam.DefaultModel())
+	res, err := sitam.Optimize(ctx, s, wmax, groups.Groups, sitam.DefaultModel(), sitam.Algo{}, sitam.ParallelConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func main() {
 	fmt.Printf("T_in=%d  T_si=%d  T_soc=%d clock cycles\n",
 		res.Breakdown.TimeIn, res.Breakdown.TimeSI, res.Breakdown.TimeSOC)
 
-	base, err := sitam.OptimizeBaseline(s, wmax, groups.Groups, sitam.DefaultModel())
+	base, err := sitam.Optimize(ctx, s, wmax, groups.Groups, sitam.DefaultModel(), sitam.Algo{Kind: sitam.AlgoBaseline}, sitam.ParallelConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	const (
 		nr   = 20000
@@ -27,22 +29,22 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		patterns, err := sitam.GeneratePatterns(s, sitam.GenConfig{N: nr, Seed: seed})
+		patterns, _, err := sitam.GeneratePatterns(ctx, s, sitam.GenConfig{N: nr, Seed: seed})
 		if err != nil {
 			log.Fatal(err)
 		}
-		gr, err := sitam.BuildGroups(s, patterns, sitam.GroupingOptions{Parts: 4, Seed: seed})
+		gr, err := sitam.BuildGroups(ctx, s, patterns, sitam.GroupingOptions{Parts: 4, Seed: seed})
 		if err != nil {
 			log.Fatal(err)
 		}
 
 		var base, aware []int64
 		for _, w := range widths {
-			b, err := sitam.OptimizeBaseline(s, w, gr.Groups, sitam.DefaultModel())
+			b, err := sitam.Optimize(ctx, s, w, gr.Groups, sitam.DefaultModel(), sitam.Algo{Kind: sitam.AlgoBaseline}, sitam.ParallelConfig{})
 			if err != nil {
 				log.Fatal(err)
 			}
-			a, err := sitam.Optimize(s, w, gr.Groups, sitam.DefaultModel())
+			a, err := sitam.Optimize(ctx, s, w, gr.Groups, sitam.DefaultModel(), sitam.Algo{}, sitam.ParallelConfig{})
 			if err != nil {
 				log.Fatal(err)
 			}

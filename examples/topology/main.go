@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	s, err := sitam.LoadBenchmark("p93791")
 	if err != nil {
@@ -39,11 +41,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		groups, err := sitam.BuildGroups(s, ma, sitam.GroupingOptions{Parts: 4, Seed: 11})
+		groups, err := sitam.BuildGroups(ctx, s, ma, sitam.GroupingOptions{Parts: 4, Seed: 11})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sitam.Optimize(s, 32, groups.Groups, sitam.DefaultModel())
+		res, err := sitam.Optimize(ctx, s, 32, groups.Groups, sitam.DefaultModel(), sitam.Algo{}, sitam.ParallelConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,7 +59,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		groups, err := sitam.BuildGroups(s, mt, sitam.GroupingOptions{Parts: 4, Seed: 11})
+		groups, err := sitam.BuildGroups(ctx, s, mt, sitam.GroupingOptions{Parts: 4, Seed: 11})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@ package sitam
 // SOCs.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -42,7 +43,7 @@ func TestPipelinePropertyRandomSOCs(t *testing.T) {
 			t.Logf("seed %d: invalid SOC: %v", seed, err)
 			return false
 		}
-		patterns, err := GeneratePatterns(s, GenConfig{N: 200, Seed: seed})
+		patterns, _, err := GeneratePatterns(context.Background(), s, GenConfig{N: 200, Seed: seed})
 		if err != nil {
 			t.Logf("seed %d: generate: %v", seed, err)
 			return false
@@ -51,7 +52,7 @@ func TestPipelinePropertyRandomSOCs(t *testing.T) {
 		if parts > s.NumCores() {
 			parts = s.NumCores()
 		}
-		gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: parts, Seed: seed})
+		gr, err := BuildGroups(context.Background(), s, patterns, GroupingOptions{Parts: parts, Seed: seed})
 		if err != nil {
 			t.Logf("seed %d: groups: %v", seed, err)
 			return false
@@ -67,7 +68,7 @@ func TestPipelinePropertyRandomSOCs(t *testing.T) {
 			return false
 		}
 		wmax := 1 + rng.Intn(2*s.NumCores())
-		res, err := Optimize(s, wmax, gr.Groups, DefaultModel())
+		res, err := Optimize(context.Background(), s, wmax, gr.Groups, DefaultModel(), Algo{}, serialCfg)
 		if err != nil {
 			t.Logf("seed %d: optimize: %v", seed, err)
 			return false
@@ -108,16 +109,16 @@ func TestPipelineBothBenchmarksAllGroupings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		patterns, err := GeneratePatterns(s, GenConfig{N: 3000, Seed: 9})
+		patterns, _, err := GeneratePatterns(context.Background(), s, GenConfig{N: 3000, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, g := range []int{1, 2, 4, 8} {
-			gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: g, Seed: 9})
+			gr, err := BuildGroups(context.Background(), s, patterns, GroupingOptions{Parts: g, Seed: 9})
 			if err != nil {
 				t.Fatalf("%s g=%d: %v", name, g, err)
 			}
-			res, err := Optimize(s, 24, gr.Groups, DefaultModel())
+			res, err := Optimize(context.Background(), s, 24, gr.Groups, DefaultModel(), Algo{}, serialCfg)
 			if err != nil {
 				t.Fatalf("%s g=%d: %v", name, g, err)
 			}
@@ -130,7 +131,7 @@ func TestPipelineBothBenchmarksAllGroupings(t *testing.T) {
 			// Scheduling the same groups on the same architecture again
 			// must reproduce T_si exactly (determinism across the
 			// subsystem boundary).
-			sched, err := ScheduleSI(res.Architecture, gr.Groups, DefaultModel())
+			sched, err := ScheduleSI(res.Architecture, gr.Groups, DefaultModel(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,15 +147,15 @@ func TestSerialSchedulingNeverFaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patterns, err := GeneratePatterns(s, GenConfig{N: 2000, Seed: 14})
+	patterns, _, err := GeneratePatterns(context.Background(), s, GenConfig{N: 2000, Seed: 14})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: 8, Seed: 14})
+	gr, err := BuildGroups(context.Background(), s, patterns, GroupingOptions{Parts: 8, Seed: 14})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(s, 32, gr.Groups, DefaultModel())
+	res, err := Optimize(context.Background(), s, 32, gr.Groups, DefaultModel(), Algo{}, serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +174,12 @@ func TestGroupingNeverLosesPatternsAcrossSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 4; seed++ {
-		patterns, err := GeneratePatterns(s, GenConfig{N: 1000, Seed: seed})
+		patterns, _, err := GeneratePatterns(context.Background(), s, GenConfig{N: 1000, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, g := range []int{1, 4} {
-			gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: g, Seed: seed})
+			gr, err := BuildGroups(context.Background(), s, patterns, GroupingOptions{Parts: g, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +206,7 @@ func TestBaselineMatchesEngineInTestObjective(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := []*Group{{Name: "g", Cores: s.SortedIDs(), Patterns: 100}}
-	res, err := OptimizeBaseline(s, 24, groups, DefaultModel())
+	res, err := Optimize(context.Background(), s, 24, groups, DefaultModel(), Algo{Kind: AlgoBaseline}, serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestBaselineMatchesEngineInTestObjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, obj, err := eng.Optimize()
+	_, obj, _, err := eng.OptimizeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

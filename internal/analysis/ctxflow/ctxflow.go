@@ -85,7 +85,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 
 	// Local closures whose bodies mention a context value: calling one
 	// inside a loop counts as consulting the context (the restart
-	// fan-out pattern: `run := func(i int) { ...OptimizeILSCtx(ctx...)... }`).
+	// fan-out pattern: `run := func(i int) { ...optimizeILS(ctx...)... }`).
 	ctxClosures := contextClosures(pass, fd)
 	// Recursive local closures: calling one inside a loop is unbounded
 	// enumeration (the `var enumerate func(...)` pattern).

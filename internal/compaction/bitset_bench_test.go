@@ -16,7 +16,7 @@ import (
 // acceptance bar is a >= 4x bitset speedup.
 func Benchmark_CompactionBitset(b *testing.B) {
 	s := soc.MustLoadBenchmark("p93791")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 100000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 100000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func TestGreedyEmpty(t *testing.T) {
 func randomPatterns(t *testing.T, n int, seed int64) (*sifault.Space, []*sifault.Pattern) {
 	t.Helper()
 	s := miniSOC()
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: n, Seed: seed})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: n, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestExactIsLowerBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, es, err := Exact(patterns)
+		_, es, err := Exact(context.Background(), patterns)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,13 +268,13 @@ func TestExactIsLowerBound(t *testing.T) {
 
 func TestExactRejectsLarge(t *testing.T) {
 	_, patterns := randomPatterns(t, 30, 1)
-	if _, _, err := Exact(patterns); err == nil {
+	if _, _, err := Exact(context.Background(), patterns); err == nil {
 		t.Error("Exact accepted 30 patterns")
 	}
 }
 
 func TestExactEmpty(t *testing.T) {
-	out, stats, err := Exact(nil)
+	out, stats, err := Exact(context.Background(), nil)
 	if err != nil || len(out) != 0 || stats.Compacted != 0 {
 		t.Errorf("Exact(nil) = %v, %+v, %v", out, stats, err)
 	}

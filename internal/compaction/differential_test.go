@@ -61,7 +61,7 @@ func TestGreedyBitsetMatchesScalar(t *testing.T) {
 			continue
 		}
 		s := soc.MustLoadBenchmark(tc.fixture)
-		patterns, err := sifault.Generate(s, sifault.GenConfig{N: tc.n, Seed: tc.seed})
+		patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: tc.n, Seed: tc.seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestGreedyBitsetMatchesScalar(t *testing.T) {
 // input through unmerged and report the cut.
 func TestGreedyCancelledMatchesScalar(t *testing.T) {
 	s := soc.MustLoadBenchmark("d695")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 200, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestGreedyCancelledMatchesScalar(t *testing.T) {
 // pattern pairs, including the bus pseudo-word encoding.
 func TestBitsetCompatibleMatchesPairwise(t *testing.T) {
 	s := soc.MustLoadBenchmark("d695")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 300, Seed: 4})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 300, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func FuzzGreedyMatchesScalar(f *testing.F) {
 			cfg.BusProb = -1
 			cfg.ExternalProb = -1
 		}
-		patterns, err := sifault.Generate(s, cfg)
+		patterns, _, err := sifault.GenerateCtx(context.Background(), s, cfg)
 		if err != nil {
 			t.Skip()
 		}

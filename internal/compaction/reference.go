@@ -126,16 +126,11 @@ func DSATUR(patterns []*sifault.Pattern) ([]*sifault.Pattern, Stats, error) {
 // Exact computes a minimum clique cover by exact graph coloring of the
 // conflict graph with branch-and-bound. Exponential; callers should keep
 // n at or below roughly 20. Used only in tests to bound the greedy
-// heuristic's optimality gap. It is ExactCtx without cancellation.
-func Exact(patterns []*sifault.Pattern) ([]*sifault.Pattern, Stats, error) {
-	return ExactCtx(context.Background(), patterns)
-}
-
-// ExactCtx is Exact under a context. Cancellation or an expired
-// deadline aborts the branch-and-bound with an error wrapping
-// ctx.Err(): a truncated search cannot certify minimality, so there is
-// no degraded result.
-func ExactCtx(ctx context.Context, patterns []*sifault.Pattern) ([]*sifault.Pattern, Stats, error) {
+// heuristic's optimality gap. Cancellation or an expired deadline
+// aborts the branch-and-bound with an error wrapping ctx.Err(): a
+// truncated search cannot certify minimality, so there is no degraded
+// result.
+func Exact(ctx context.Context, patterns []*sifault.Pattern) ([]*sifault.Pattern, Stats, error) {
 	n := len(patterns)
 	if n == 0 {
 		return nil, Stats{}, nil

@@ -72,7 +72,7 @@ func TestOptimizeILSCtxPreCancelled(t *testing.T) {
 	eng := newSIEngine(t, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	a, _, st, err := eng.OptimizeILSCtx(ctx, 5, 1)
+	a, _, st, err := eng.OptimizeILSRestartsCtx(ctx, 5, 1, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -149,14 +149,14 @@ func TestOptimizeILSCtxCountdownSweep(t *testing.T) {
 	const wmax, kicks, seed = 8, 4, 1
 	eng := newSIEngine(t, wmax)
 	counter := &countingCtx{Context: context.Background()}
-	_, fullObj, st, err := eng.OptimizeILSCtx(counter, kicks, seed)
+	_, fullObj, st, err := eng.OptimizeILSRestartsCtx(counter, kicks, 1, seed)
 	if err != nil || st.Partial {
 		t.Fatalf("full ILS run failed: %v %+v", err, st)
 	}
 
 	sawPartial := false
 	for n := 0; n <= counter.calls+1; n += 3 {
-		a, obj, st, err := eng.OptimizeILSCtx(newCountdown(n), kicks, seed)
+		a, obj, st, err := eng.OptimizeILSRestartsCtx(newCountdown(n), kicks, 1, seed)
 		switch {
 		case err != nil:
 			if !errors.Is(err, context.DeadlineExceeded) {
@@ -187,11 +187,11 @@ func TestOptimizeILSCtxCountdownSweep(t *testing.T) {
 // with no error.
 func TestOptimizeILSCtxDeadlineP93791(t *testing.T) {
 	s := soc.MustLoadBenchmark("p93791")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 2000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: 2, Seed: 1})
+	gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestOptimizeILSCtxDeadlineP93791(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
 	defer cancel()
-	a, obj, st, err := eng.OptimizeILSCtx(ctx, 100000, 1)
+	a, obj, st, err := eng.OptimizeILSRestartsCtx(ctx, 100000, 1, 1)
 	if err != nil {
 		t.Fatalf("deadline run errored: %v", err)
 	}

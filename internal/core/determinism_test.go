@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sitam/internal/sischedule"
@@ -20,7 +21,7 @@ func TestOptimizeILSRestartsSameSeedIdenticalHash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch, obj, err := eng.OptimizeILSRestarts(12, 4, 99)
+		arch, obj, _, err := eng.OptimizeILSRestartsCtx(context.Background(), 12, 4, 99)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,11 +45,11 @@ var diffGolden = map[string]struct {
 // diffGroups builds the shared SI test grouping for a fixture.
 func diffGroups(t *testing.T, s *soc.SOC) []*sischedule.Group {
 	t.Helper()
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: diffNr, Seed: diffSeed})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: diffNr, Seed: diffSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: diffParts, Seed: diffSeed})
+	gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: diffParts, Seed: diffSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			groups := diffGroups(t, s)
 			m := sischedule.DefaultModel()
 			for _, w := range diffWidths {
-				serial, err := TAMOptimization(s, w, groups, m)
+				serial, err := TAMOptimizationWith(context.Background(), s, w, groups, m, serialCfg)
 				if err != nil {
 					t.Fatalf("W=%d serial: %v", w, err)
 				}
@@ -119,7 +119,7 @@ func TestParallelILSMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serialArch, serialObj, err := eng.OptimizeILS(ilsKicks, ilsSeed)
+			serialArch, serialObj, _, err := eng.OptimizeILSRestartsCtx(context.Background(), ilsKicks, 1, ilsSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestParallelILSMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				arch, obj, err := peng.OptimizeILS(ilsKicks, ilsSeed)
+				arch, obj, _, err := peng.OptimizeILSRestartsCtx(context.Background(), ilsKicks, 1, ilsSeed)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -164,13 +164,13 @@ func TestParallelILSRestartsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch, obj, err := eng.OptimizeILSRestarts(ilsKicks, 3, ilsSeed)
+		arch, obj, _, err := eng.OptimizeILSRestartsCtx(context.Background(), ilsKicks, 3, ilsSeed)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if i == 0 {
 			baseObj, baseDump = obj, arch.String()
-			single, singleObj, err := eng.OptimizeILS(ilsKicks, ilsSeed)
+			single, singleObj, _, err := eng.OptimizeILSRestartsCtx(context.Background(), ilsKicks, 1, ilsSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestParallelILSRestartsDeterministic(t *testing.T) {
 			t.Errorf("workers=%d: restarts result differs from workers=1 (obj %d vs %d)", workers, obj, baseObj)
 		}
 	}
-	if _, _, err := mustEngine(t, s, groups, m).OptimizeILSRestarts(ilsKicks, 0, ilsSeed); err == nil {
+	if _, _, _, err := mustEngine(t, s, groups, m).OptimizeILSRestartsCtx(context.Background(), ilsKicks, 0, ilsSeed); err == nil {
 		t.Error("restarts=0 accepted")
 	}
 }

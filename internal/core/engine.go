@@ -166,18 +166,15 @@ func (e *Engine) emitCandidates(phase string, res []candResult) {
 	}
 }
 
-// Optimize runs the full procedure: start solution, bottom-up merging,
-// top-down merging, the remaining-rails sweep, and core reshuffling. It
-// returns the best architecture found and its objective value.
-func (e *Engine) Optimize() (*tam.Architecture, int64, error) {
-	a, obj, _, err := e.OptimizeCtx(context.Background())
-	return a, obj, err
-}
-
-// OptimizeCtx is Optimize as an anytime algorithm: the procedure checks
-// ctx between candidate evaluations, and when the context is cancelled
-// or its deadline expires mid-run (or the evaluation budget runs out)
-// it returns the best architecture found so far with Status.Partial set
+// OptimizeCtx runs the full procedure: start solution, bottom-up
+// merging, top-down merging, the remaining-rails sweep, and core
+// reshuffling. It returns the best architecture found and its objective
+// value.
+//
+// It is an anytime algorithm: the procedure checks ctx between
+// candidate evaluations, and when the context is cancelled or its
+// deadline expires mid-run (or the evaluation budget runs out) it
+// returns the best architecture found so far with Status.Partial set
 // and a nil error. The incumbent objective only improves as the run
 // progresses, so a partial result is always a valid, schedulable
 // architecture whose objective is at least the value a complete run

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sitam/internal/sifault"
 	"sitam/internal/sischedule"
 	"sitam/internal/soc"
 )
+
+// serialCfg is the single-worker, cache-free engine configuration.
+var serialCfg = ParallelConfig{Workers: 1, CacheSize: -1}
 
 func smallSOC() *soc.SOC {
 	return &soc.SOC{
@@ -47,7 +51,7 @@ func TestOptimizeInTestProducesValidArchitecture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch, obj, err := eng.Optimize()
+		arch, obj, _, err := eng.OptimizeCtx(context.Background())
 		if err != nil {
 			t.Fatalf("Wmax=%d: %v", wmax, err)
 		}
@@ -70,7 +74,7 @@ func TestOptimizeFewerWiresThanCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, _, err := eng.Optimize()
+	arch, _, _, err := eng.OptimizeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +96,7 @@ func TestOptimizeMonotonicOverWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, obj, err := eng.Optimize()
+		_, obj, _, err := eng.OptimizeCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +114,7 @@ func TestOptimizeSIAwareValid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch, obj, err := eng.Optimize()
+		arch, obj, _, err := eng.OptimizeCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +147,7 @@ func TestOptimizeDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch, obj, err := eng.Optimize()
+		arch, obj, _, err := eng.OptimizeCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +175,7 @@ func TestSIAwareBeatsBaselineOnSIHeavyWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseArch, _, err := engBase.Optimize()
+	baseArch, _, _, err := engBase.OptimizeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +188,7 @@ func TestSIAwareBeatsBaselineOnSIHeavyWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, siObj, err := engSI.Optimize()
+	_, siObj, _, err := engSI.OptimizeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +207,7 @@ func TestSingleCoreSOC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, _, err := eng.Optimize()
+	arch, _, _, err := eng.OptimizeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +224,7 @@ func TestWmaxEqualsCoreCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, _, err := eng.Optimize()
+	arch, _, _, err := eng.OptimizeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +247,7 @@ func TestFreeWiresGoToBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, _, err := eng.Optimize()
+	arch, _, _, err := eng.OptimizeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +267,7 @@ func TestBottleneckRails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, _, err := eng.Optimize()
+	arch, _, _, err := eng.OptimizeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +296,7 @@ func TestTestBusEvaluatorSerializesSI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, railObj, err := engRail.Optimize()
+	_, railObj, _, err := engRail.OptimizeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +304,7 @@ func TestTestBusEvaluatorSerializesSI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	busArch, busObj, err := engBus.Optimize()
+	busArch, busObj, _, err := engBus.OptimizeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,15 +328,15 @@ func TestTestBusEvaluatorSerializesSI(t *testing.T) {
 
 func TestEvaluateBreakdownMatchesGenerator(t *testing.T) {
 	s := soc.MustLoadBenchmark("p34392")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 2000, Seed: 3})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 2000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: 2, Seed: 3})
+	gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TAMOptimization(s, 16, gr.Groups, sischedule.DefaultModel())
+	res, err := TAMOptimizationWith(context.Background(), s, 16, gr.Groups, sischedule.DefaultModel(), serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func (e *SIEvaluator) Evaluate(a *tam.Architecture) (int64, error) {
 	for _, r := range a.Rails {
 		a.RefreshTimeIn(r)
 	}
-	sched, err := sischedule.ScheduleSITestCons(a, e.Groups, e.Model, e.Cons)
+	sched, err := sischedule.ScheduleSITestConsObs(a, e.Groups, e.Model, e.Cons, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -106,30 +106,25 @@ type Breakdown struct {
 	TimeSOC int64
 }
 
-// Evaluate computes the breakdown of an architecture under the given
-// groups and model, also refreshing the rails' bookkeeping. When the
-// SOC carries a Constraints stanza, the schedule honors it (see
+// EvaluateBreakdown computes the breakdown of an architecture under the
+// given groups and model, also refreshing the rails' bookkeeping. When
+// the SOC carries a Constraints stanza, the schedule honors it (see
 // CompileSOCConstraints); an unconstrained SOC takes the exact code
 // path it always did.
 func EvaluateBreakdown(a *tam.Architecture, groups []*sischedule.Group, m sischedule.Model) (Breakdown, *sischedule.Schedule, error) {
-	return EvaluateBreakdownObs(a, groups, m, nil)
-}
-
-// EvaluateBreakdownObs is EvaluateBreakdown with tracing: the final
-// schedule's slots are reported as si_group_scheduled events inside an
-// "si schedule" phase span whose Best carries T_soc — the endpoint of
-// the run's convergence curve.
-func EvaluateBreakdownObs(a *tam.Architecture, groups []*sischedule.Group, m sischedule.Model, sink obs.Sink) (Breakdown, *sischedule.Schedule, error) {
 	cons, err := CompileSOCConstraints(a.SOC, groups)
 	if err != nil {
 		return Breakdown{}, nil, err
 	}
-	return EvaluateBreakdownConsObs(a, groups, m, cons, sink)
+	return EvaluateBreakdownConsObs(a, groups, m, cons, nil)
 }
 
-// EvaluateBreakdownConsObs is EvaluateBreakdownObs with a pre-compiled
+// EvaluateBreakdownConsObs is EvaluateBreakdown with a pre-compiled
 // constraint set (nil = unconstrained), for callers that already hold
-// one and must not pay recompilation.
+// one and must not pay recompilation, and with tracing: the final
+// schedule's slots are reported as si_group_scheduled events inside an
+// "si schedule" phase span whose Best carries T_soc — the endpoint of
+// the run's convergence curve. A nil sink traces nothing.
 func EvaluateBreakdownConsObs(a *tam.Architecture, groups []*sischedule.Group, m sischedule.Model, cons *sischedule.Constraints, sink obs.Sink) (Breakdown, *sischedule.Schedule, error) {
 	for _, r := range a.Rails {
 		a.RefreshTimeIn(r)

@@ -43,7 +43,7 @@ func TestEvaluatorErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.Optimize(); err != nil {
+	if _, _, _, err := eng.OptimizeCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	total := probe.calls
@@ -79,7 +79,7 @@ func TestStalledEvaluatorYieldsPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fullObj, err := eng.Optimize()
+	_, fullObj, _, err := eng.OptimizeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +127,12 @@ func TestStalledEvaluatorDuringILS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.Optimize(); err != nil {
+	if _, _, _, err := eng.OptimizeCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	greedyCalls := probe.calls
 
-	_, greedyObj, err := eng.Optimize()
+	_, greedyObj, _, err := eng.OptimizeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestStalledEvaluatorDuringILS(t *testing.T) {
 	// Fail a few evaluations into the ILS phase.
 	fe := &faultEvaluator{inner: base, failAt: greedyCalls + 3, err: stall}
 	eng.Eval = fe
-	a, obj, st, err := eng.OptimizeILSCtx(context.Background(), 50, 1)
+	a, obj, st, err := eng.OptimizeILSRestartsCtx(context.Background(), 50, 1, 1)
 	if err != nil {
 		t.Fatalf("err = %v, want graceful degradation", err)
 	}
@@ -167,7 +167,7 @@ func TestNoGoroutineLeakAfterCancel(t *testing.T) {
 
 	for i := 0; i < 25; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%5)*time.Millisecond)
-		_, _, _, _ = eng.OptimizeILSCtx(ctx, 20, int64(i))
+		_, _, _, _ = eng.OptimizeILSRestartsCtx(ctx, 20, 1, int64(i))
 		cancel()
 
 		cctx, ccancel := context.WithCancel(context.Background())

@@ -19,22 +19,17 @@ import (
 // natural next step its Section 6 leaves open, and the ablation bench
 // quantifies what it buys.
 
-// OptimizeILS runs Optimize and then `kicks` perturbation rounds,
-// returning the best architecture found. With kicks == 0 it is exactly
-// Optimize. Results are deterministic in seed.
-func (e *Engine) OptimizeILS(kicks int, seed int64) (*tam.Architecture, int64, error) {
-	a, obj, _, err := e.OptimizeILSCtx(context.Background(), kicks, seed)
-	return a, obj, err
-}
-
-// OptimizeILSCtx is OptimizeILS as an anytime algorithm: the context is
+// optimizeILS runs OptimizeCtx and then `kicks` perturbation rounds,
+// returning the best architecture found; it is the body of one
+// OptimizeILSRestartsCtx restart. With kicks == 0 it is exactly
+// OptimizeCtx. Results are deterministic in seed. The context is
 // checked before and during every kick round, and cancellation or
 // deadline expiry mid-search returns the best architecture found so far
 // with Status.Partial set and a nil error. The best-so-far objective is
 // monotonically non-increasing, so a partial result is never better
 // than what the complete run would return. A context that is done
 // before any architecture was produced yields the context's error.
-func (e *Engine) OptimizeILSCtx(ctx context.Context, kicks int, seed int64) (*tam.Architecture, int64, Status, error) {
+func (e *Engine) optimizeILS(ctx context.Context, kicks int, seed int64) (*tam.Architecture, int64, Status, error) {
 	if kicks < 0 {
 		return nil, 0, Status{}, fmt.Errorf("core: negative kick count %d", kicks)
 	}
@@ -86,23 +81,18 @@ func (e *Engine) OptimizeILSCtx(ctx context.Context, kicks int, seed int64) (*ta
 	return best, bestObj, Status{}, nil
 }
 
-// OptimizeILSRestarts runs `restarts` independent ILS searches with
+// OptimizeILSRestartsCtx runs `restarts` independent ILS searches with
 // seeds seed, seed+1, ..., seed+restarts-1 and returns the best
 // architecture found. Restarts are mutually independent, so with a
 // parallel evaluator they fan out across the worker pool (each restart
 // then evaluates serially inside, keeping total concurrency bounded);
 // the reduction picks the smallest objective, ties broken by the
 // lowest seed, so the outcome is byte-identical at any worker count.
-func (e *Engine) OptimizeILSRestarts(kicks, restarts int, seed int64) (*tam.Architecture, int64, error) {
-	a, obj, _, err := e.OptimizeILSRestartsCtx(context.Background(), kicks, restarts, seed)
-	return a, obj, err
-}
-
-// OptimizeILSRestartsCtx is OptimizeILSRestarts as an anytime
-// algorithm: on cancellation or deadline expiry the best architecture
-// any restart produced so far is returned with Status.Partial set and
-// a nil error; the context's error comes back only when no restart
-// produced anything.
+//
+// It is an anytime algorithm: on cancellation or deadline expiry the
+// best architecture any restart produced so far is returned with
+// Status.Partial set and a nil error; the context's error comes back
+// only when no restart produced anything.
 //
 // Each restart traces into its own buffer, drained into the engine's
 // sink in restart order once all restarts finish, and counts
@@ -114,7 +104,7 @@ func (e *Engine) OptimizeILSRestartsCtx(ctx context.Context, kicks, restarts int
 		return nil, 0, Status{}, fmt.Errorf("core: restart count %d < 1", restarts)
 	}
 	if restarts == 1 {
-		return e.OptimizeILSCtx(ctx, kicks, seed)
+		return e.optimizeILS(ctx, kicks, seed)
 	}
 	type outcome struct {
 		a   *tam.Architecture
@@ -142,7 +132,7 @@ func (e *Engine) OptimizeILSRestartsCtx(ctx context.Context, kicks, restarts int
 			inner.Trace = locals[i]
 		}
 		r := &res[i]
-		r.a, r.obj, r.st, r.err = inner.OptimizeILSCtx(ctx, kicks, seed+int64(i))
+		r.a, r.obj, r.st, r.err = inner.optimizeILS(ctx, kicks, seed+int64(i))
 	}
 	if k := e.Par.workers(); k > 1 {
 		parallelFor(k, restarts, func(_, i int) { run(i) })

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sitam/internal/sischedule"
@@ -15,11 +16,11 @@ func TestOptimizeILSZeroKicksEqualsOptimize(t *testing.T) {
 		}
 		return eng
 	}
-	_, plain, err := mk().Optimize()
+	_, plain, _, err := mk().OptimizeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ils, err := mk().OptimizeILS(0, 1)
+	_, ils, _, err := mk().OptimizeILSRestartsCtx(context.Background(), 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +36,11 @@ func TestOptimizeILSNeverWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, plain, err := eng.Optimize()
+		_, plain, _, err := eng.OptimizeCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch, ils, err := eng.OptimizeILS(20, 7)
+		arch, ils, _, err := eng.OptimizeILSRestartsCtx(context.Background(), 20, 1, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func TestOptimizeILSDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, obj, err := eng.OptimizeILS(15, 42)
+		_, obj, _, err := eng.OptimizeILSRestartsCtx(context.Background(), 15, 1, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func TestOptimizeILSRejectsNegativeKicks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.OptimizeILS(-1, 0); err == nil {
+	if _, _, _, err := eng.OptimizeILSRestartsCtx(context.Background(), -1, 1, 0); err == nil {
 		t.Error("accepted negative kicks")
 	}
 }

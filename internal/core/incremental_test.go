@@ -25,7 +25,7 @@ func incrEngines(t *testing.T, s *soc.SOC, w int, groups []*sischedule.Group, m 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ie, _, err := NewParallelEngine(s, w, NewIncrementalSIEvaluator(groups, m),
+	ie, _, err := NewParallelEngine(s, w, NewIncrementalSIEvaluatorCons(groups, m, nil),
 		ParallelConfig{Workers: workers, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 			m := sischedule.DefaultModel()
 			for _, w := range diffWidths {
 				scratch, _ := incrEngines(t, s, w, groups, m, 1)
-				sArch, sObj, err := scratch.Optimize()
+				sArch, sObj, _, err := scratch.OptimizeCtx(context.Background())
 				if err != nil {
 					t.Fatalf("W=%d scratch: %v", w, err)
 				}
@@ -54,7 +54,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 				dump := sArch.String()
 				for _, workers := range []int{1, 2, 8} {
 					_, incr := incrEngines(t, s, w, groups, m, workers)
-					iArch, iObj, err := incr.Optimize()
+					iArch, iObj, _, err := incr.OptimizeCtx(context.Background())
 					if err != nil {
 						t.Fatalf("W=%d workers=%d incremental: %v", w, workers, err)
 					}
@@ -81,7 +81,7 @@ func TestIncrementalILSMatchesScratch(t *testing.T) {
 			groups := diffGroups(t, s)
 			m := sischedule.DefaultModel()
 			scratch, _ := incrEngines(t, s, diffILSW, groups, m, 1)
-			sArch, sObj, err := scratch.OptimizeILS(ilsKicks, ilsSeed)
+			sArch, sObj, _, err := scratch.OptimizeILSRestartsCtx(context.Background(), ilsKicks, 1, ilsSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestIncrementalILSMatchesScratch(t *testing.T) {
 			dump := sArch.String()
 			for _, workers := range []int{1, 2, 8} {
 				_, incr := incrEngines(t, s, diffILSW, groups, m, workers)
-				_, iObj, err := incr.OptimizeILSRestarts(ilsKicks, 2, ilsSeed)
+				_, iObj, _, err := incr.OptimizeILSRestartsCtx(context.Background(), ilsKicks, 2, ilsSeed)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -101,7 +101,7 @@ func TestIncrementalILSMatchesScratch(t *testing.T) {
 					t.Errorf("workers=%d: incremental ILS(2 restarts) objective = %d worse than scratch single run %d",
 						workers, iObj, sObj)
 				}
-				sIArch, sIObj, err := incr.OptimizeILS(ilsKicks, ilsSeed)
+				sIArch, sIObj, _, err := incr.OptimizeILSRestartsCtx(context.Background(), ilsKicks, 1, ilsSeed)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -144,8 +144,8 @@ func TestIncrementalDeadlineMatchesScratch(t *testing.T) {
 		}
 
 		scratch, incr = incrEngines(t, s, diffILSW, groups, m, 1)
-		sArch, sObj, sStatus, sErr = scratch.OptimizeILSCtx(newCountdown(n), ilsKicks, ilsSeed)
-		iArch, iObj, iStatus, iErr = incr.OptimizeILSCtx(newCountdown(n), ilsKicks, ilsSeed)
+		sArch, sObj, sStatus, sErr = scratch.OptimizeILSRestartsCtx(newCountdown(n), ilsKicks, 1, ilsSeed)
+		iArch, iObj, iStatus, iErr = incr.OptimizeILSRestartsCtx(newCountdown(n), ilsKicks, 1, ilsSeed)
 		if (sErr == nil) != (iErr == nil) {
 			t.Fatalf("ILS countdown=%d: scratch err %v, incremental err %v", n, sErr, iErr)
 		}
@@ -196,12 +196,12 @@ func TestIncrementalStatsAccount(t *testing.T) {
 	s := soc.MustLoadBenchmark("d695")
 	groups := diffGroups(t, s)
 	m := sischedule.DefaultModel()
-	eval := NewIncrementalSIEvaluator(groups, m)
-	eng, _, err := NewParallelEngine(s, 32, eval, ParallelConfig{Workers: 1, CacheSize: -1})
+	eval := NewIncrementalSIEvaluatorCons(groups, m, nil)
+	eng, _, err := NewParallelEngine(s, 32, eval, serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.Optimize(); err != nil {
+	if _, _, _, err := eng.OptimizeCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st := eval.Stats()
@@ -244,7 +244,7 @@ func FuzzIncrementalMutations(f *testing.F) {
 		for _, c := range s.Cores() {
 			a.AddRail([]int{c.ID}, 1)
 		}
-		incr := NewIncrementalSIEvaluator(groups, m)
+		incr := NewIncrementalSIEvaluatorCons(groups, m, nil)
 		scratch := &SIEvaluator{Groups: groups, Model: m}
 
 		check := func(step int) {

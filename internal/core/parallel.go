@@ -286,10 +286,11 @@ func NewParallelEngine(s *soc.SOC, wmax int, eval Evaluator, cfg ParallelConfig)
 	return eng, cache, nil
 }
 
-// TAMOptimizationWith is TAMOptimizationCtx with parallel candidate
-// evaluation, memoization and observability per cfg; the result
-// additionally carries the cache statistics and metrics snapshot of
-// the run.
+// TAMOptimizationWith is the paper's Algorithm 2: it designs a
+// TestRail architecture of total width wmax for SOC s minimizing
+// T_soc = T_in + T_si over the given SI test groups, and returns the
+// architecture with its objective breakdown, SI schedule, cache
+// statistics and metrics snapshot. It is Solve with AlgoSI.
 func TAMOptimizationWith(ctx context.Context, s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model, cfg ParallelConfig) (*Result, error) {
 	return Solve(ctx, s, wmax, groups, m, Algo{Kind: AlgoSI}, cfg)
 }

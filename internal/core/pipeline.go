@@ -83,23 +83,20 @@ type GroupingOptions struct {
 	Trace obs.Sink
 }
 
-// BuildGroups runs the paper's two-dimensional SI test-set compaction
-// (Section 3): it partitions the cores into opts.Parts groups with a
-// hypergraph partitioner (vertices: cores weighted by WOC count;
-// hyperedges: patterns connecting their care cores, weighted by
+// BuildGroupsCtx runs the paper's two-dimensional SI test-set
+// compaction (Section 3): it partitions the cores into opts.Parts
+// groups with a hypergraph partitioner (vertices: cores weighted by WOC
+// count; hyperedges: patterns connecting their care cores, weighted by
 // multiplicity), classifies each pattern into the part containing all
 // its care cores or into the residual group, and then compacts every
 // group separately with the greedy clique-cover heuristic.
-func BuildGroups(s *soc.SOC, patterns []*sifault.Pattern, opts GroupingOptions) (*GroupingResult, error) {
-	return BuildGroupsCtx(context.Background(), s, patterns, opts)
-}
-
-// BuildGroupsCtx is BuildGroups with graceful degradation under a done
-// context: the partitioner falls back to unrefined greedy bisections
-// and the per-group compaction passes remaining patterns through
-// unmerged. The result is then marked Partial but remains a valid,
-// schedulable grouping covering every input pattern. The context's
-// error is returned only when it is done before any work started.
+//
+// A done context degrades gracefully: the partitioner falls back to
+// unrefined greedy bisections and the per-group compaction passes
+// remaining patterns through unmerged. The result is then marked
+// Partial but remains a valid, schedulable grouping covering every
+// input pattern. The context's error is returned only when it is done
+// before any work started.
 func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern, opts GroupingOptions) (*GroupingResult, error) {
 	if opts.Parts < 1 {
 		return nil, fmt.Errorf("core: Parts must be >= 1, got %d", opts.Parts)
@@ -162,7 +159,7 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 			}
 		}
 		var err error
-		assign, _, partitionCut, err = hypergraph.PartitionKCtx(ctx, h, opts.Parts, hypergraph.Options{
+		assign, _, partitionCut, err = hypergraph.PartitionK(ctx, h, opts.Parts, hypergraph.Options{
 			Seed:      opts.Seed,
 			Tolerance: opts.Tolerance,
 			Trace:     opts.Trace,
@@ -257,23 +254,6 @@ func pinKey(pins []int) string {
 		b = append(b, byte(p), byte(p>>8), byte(p>>16))
 	}
 	return string(b)
-}
-
-// TAMOptimization is the paper's Algorithm 2: it designs a TestRail
-// architecture of total width wmax for SOC s minimizing
-// T_soc = T_in + T_si over the given SI test groups, and returns the
-// architecture with its objective breakdown and SI schedule.
-func TAMOptimization(s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model) (*Result, error) {
-	return TAMOptimizationCtx(context.Background(), s, wmax, groups, m)
-}
-
-// TAMOptimizationCtx is TAMOptimization as an anytime algorithm: on
-// cancellation or deadline expiry mid-search the best architecture
-// found so far is evaluated and returned with Result.Partial set and a
-// nil error. Only when no valid architecture was produced at all does
-// the context's error come back.
-func TAMOptimizationCtx(ctx context.Context, s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model) (*Result, error) {
-	return TAMOptimizationWith(ctx, s, wmax, groups, m, ParallelConfig{Workers: 1, CacheSize: -1})
 }
 
 // Finish assembles the Result of an optimization run: it evaluates the

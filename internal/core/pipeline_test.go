@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sitam/internal/sifault"
@@ -9,25 +10,25 @@ import (
 
 func TestBuildGroupsValidation(t *testing.T) {
 	s := smallSOC()
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 100, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildGroups(s, patterns, GroupingOptions{Parts: 0}); err == nil {
+	if _, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 0}); err == nil {
 		t.Error("accepted Parts=0")
 	}
-	if _, err := BuildGroups(s, patterns, GroupingOptions{Parts: 99}); err == nil {
+	if _, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 99}); err == nil {
 		t.Error("accepted Parts > core count")
 	}
 }
 
 func TestBuildGroupsSinglePart(t *testing.T) {
 	s := smallSOC()
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 500, Seed: 2})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 500, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: 1, Seed: 2})
+	gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +49,12 @@ func TestBuildGroupsSinglePart(t *testing.T) {
 func TestBuildGroupsPartitionInvariants(t *testing.T) {
 	s := soc.MustLoadBenchmark("p34392")
 	sp := sifault.NewSpace(s)
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 3000, Seed: 4})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 3000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, parts := range []int{2, 4, 8} {
-		gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: parts, Seed: 4})
+		gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: parts, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,15 +121,15 @@ func TestBuildGroupsPartitionInvariants(t *testing.T) {
 
 func TestBuildGroupsDeterministic(t *testing.T) {
 	s := smallSOC()
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 800, Seed: 6})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 800, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := BuildGroups(s, patterns, GroupingOptions{Parts: 2, Seed: 6})
+	a, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 2, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildGroups(s, patterns, GroupingOptions{Parts: 2, Seed: 6})
+	b, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 2, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,15 +147,15 @@ func TestGroupingReducesPatternLengthWork(t *testing.T) {
 	// The point of horizontal compaction: with g parts, most patterns
 	// involve far fewer cores than the whole SOC.
 	s := soc.MustLoadBenchmark("p93791")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 2000, Seed: 8})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 2000, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr1, err := BuildGroups(s, patterns, GroupingOptions{Parts: 1, Seed: 8})
+	gr1, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 1, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr4, err := BuildGroups(s, patterns, GroupingOptions{Parts: 4, Seed: 8})
+	gr4, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 4, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -345,11 +345,11 @@ func TestSIGroupScheduledEvents(t *testing.T) {
 // against "trace"/"metrics" to price the collectors themselves.
 func BenchmarkNoopSinkOverhead(b *testing.B) {
 	s := soc.MustLoadBenchmark("p34392")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: diffNr, Seed: diffSeed})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: diffNr, Seed: diffSeed})
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: diffParts, Seed: diffSeed})
+	gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: diffParts, Seed: diffSeed})
 	if err != nil {
 		b.Fatal(err)
 	}

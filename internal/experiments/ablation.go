@@ -57,7 +57,7 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 		return err
 	}
 	fmt.Fprintf(w, "\n[1] vertical compaction: greedy vs DSATUR (first %d patterns)\n", sample)
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: sample, Seed: seed})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: sample, Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -78,15 +78,15 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 	}
 	fmt.Fprintf(w, "\n[2] victim-core quiescing probability vs compaction and T_soc (g=4, W=%d)\n", wmax)
 	for _, q := range []float64{-1, 0.25, 0.5, 1.0} {
-		pats, err := sifault.Generate(s, sifault.GenConfig{N: nr, Seed: seed, QuiesceProb: q})
+		pats, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: nr, Seed: seed, QuiesceProb: q})
 		if err != nil {
 			return err
 		}
-		gr, err := core.BuildGroups(s, pats, core.GroupingOptions{Parts: 4, Seed: seed})
+		gr, err := core.BuildGroupsCtx(context.Background(), s, pats, core.GroupingOptions{Parts: 4, Seed: seed})
 		if err != nil {
 			return err
 		}
-		res, err := core.TAMOptimization(s, wmax, gr.Groups, sischedule.DefaultModel())
+		res, err := core.TAMOptimizationWith(context.Background(), s, wmax, gr.Groups, sischedule.DefaultModel(), core.ParallelConfig{Workers: 1, CacheSize: -1})
 		if err != nil {
 			return err
 		}
@@ -105,11 +105,11 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 	}
 	fmt.Fprintf(w, "\n[3] shared-bus usage probability vs compaction (g=1)\n")
 	for _, bp := range []float64{-1, 0.25, 0.5, 0.75} {
-		pats, err := sifault.Generate(s, sifault.GenConfig{N: nr, Seed: seed, BusProb: bp})
+		pats, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: nr, Seed: seed, BusProb: bp})
 		if err != nil {
 			return err
 		}
-		gr, err := core.BuildGroups(s, pats, core.GroupingOptions{Parts: 1, Seed: seed})
+		gr, err := core.BuildGroupsCtx(context.Background(), s, pats, core.GroupingOptions{Parts: 1, Seed: seed})
 		if err != nil {
 			return err
 		}
@@ -126,12 +126,12 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 		return err
 	}
 	fmt.Fprintf(w, "\n[4] hypergraph balance tolerance vs residual patterns (g=4)\n")
-	patterns, err = sifault.Generate(s, sifault.GenConfig{N: nr, Seed: seed})
+	patterns, _, err = sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: nr, Seed: seed})
 	if err != nil {
 		return err
 	}
 	for _, tol := range []float64{0.02, 0.10, 0.30, 0.60} {
-		gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: seed, Tolerance: tol})
+		gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: seed, Tolerance: tol})
 		if err != nil {
 			return err
 		}
@@ -145,11 +145,11 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 		return err
 	}
 	fmt.Fprintf(w, "\n[5] Algorithm 1 concurrency vs serial SI application (g=8, W=%d)\n", wmax)
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 8, Seed: seed})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 8, Seed: seed})
 	if err != nil {
 		return err
 	}
-	res, err := core.TAMOptimization(s, wmax, gr.Groups, sischedule.DefaultModel())
+	res, err := core.TAMOptimizationWith(context.Background(), s, wmax, gr.Groups, sischedule.DefaultModel(), core.ParallelConfig{Workers: 1, CacheSize: -1})
 	if err != nil {
 		return err
 	}
@@ -170,7 +170,7 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 	if err != nil {
 		return err
 	}
-	busArch, busObj, err := engBus.Optimize()
+	busArch, busObj, _, err := engBus.OptimizeCtx(context.Background())
 	if err != nil {
 		return err
 	}
@@ -210,7 +210,7 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 		return err
 	}
 	fmt.Fprintf(w, "\n[8] Algorithm 1 vs optimal SI schedule (same g=8 groups, W=%d)\n", wmax)
-	optSI, nodes, err := sischedule.ExactSchedule(res.Architecture, gr.Groups, sischedule.DefaultModel())
+	optSI, nodes, _, err := sischedule.ExactSchedule(context.Background(), res.Architecture, gr.Groups, sischedule.DefaultModel(), nil, nil)
 	if err != nil {
 		return err
 	}

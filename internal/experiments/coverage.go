@@ -56,7 +56,7 @@ func RunCoverage(ctx context.Context, w io.Writer, seed int64, quick bool) error
 		n = 8000
 		checkpoints = []int{500, 2000, 8000}
 	}
-	random, err := sifault.Generate(s, sifault.GenConfig{N: n, Seed: seed})
+	random, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: n, Seed: seed})
 	if err != nil {
 		return err
 	}

@@ -147,18 +147,13 @@ func parCfg(cfg TableConfig) core.ParallelConfig {
 	return cfg.Parallel
 }
 
-// RunTable reproduces one of the paper's tables for SOC s.
-func RunTable(s *soc.SOC, cfg TableConfig) (*Table, error) {
-	return RunTableCtx(context.Background(), s, cfg)
-}
-
-// RunTableCtx is RunTable with graceful degradation under a done
-// context. The table is built cell by cell; on cancellation or deadline
-// expiry the run stops and the cells completed so far come back in a
-// Table marked Partial with a nil error — a cell whose optimization was
-// interrupted is discarded rather than reported with degraded numbers,
-// so every cell present is exact. Only when the context fires before
-// the first cell completed does the context's error come back.
+// RunTableCtx reproduces one of the paper's tables for SOC s. The
+// table is built cell by cell; on cancellation or deadline expiry the
+// run stops and the cells completed so far come back in a Table marked
+// Partial with a nil error — a cell whose optimization was interrupted
+// is discarded rather than reported with degraded numbers, so every
+// cell present is exact. Only when the context fires before the first
+// cell completed does the context's error come back.
 func RunTableCtx(ctx context.Context, s *soc.SOC, cfg TableConfig) (*Table, error) {
 	cfg = cfg.withDefaults()
 	start := time.Now()

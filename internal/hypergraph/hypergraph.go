@@ -131,19 +131,14 @@ func (o Options) withDefaults() Options {
 // PartitionK partitions h into k parts by recursive bisection and
 // returns the per-vertex part assignment and the cut weight. k must be
 // at least 1; k == 1 returns the trivial partition.
-func PartitionK(h *Hypergraph, k int, opts Options) ([]int, int64, error) {
-	assign, cut, _, err := PartitionKCtx(context.Background(), h, k, opts)
-	return assign, cut, err
-}
-
-// PartitionKCtx is PartitionK with graceful degradation under a
-// context: a cancelled or expired context never fails the partition —
-// instead the multilevel machinery skips restarts and FM refinement
-// passes once the context is done, falling back to a single greedy
-// initial bisection per level, so a structurally valid (if
-// lower-quality) balanced partition always comes back. The returned
-// bool reports whether the search was degraded by the context.
-func PartitionKCtx(ctx context.Context, h *Hypergraph, k int, opts Options) ([]int, int64, bool, error) {
+//
+// A cancelled or expired context never fails the partition: the
+// multilevel machinery skips restarts and FM refinement passes once the
+// context is done, falling back to a single greedy initial bisection
+// per level, so a structurally valid (if lower-quality) balanced
+// partition always comes back. The returned bool reports whether the
+// search was degraded by the context.
+func PartitionK(ctx context.Context, h *Hypergraph, k int, opts Options) ([]int, int64, bool, error) {
 	if k < 1 {
 		return nil, 0, false, fmt.Errorf("hypergraph: k must be >= 1, got %d", k)
 	}

@@ -54,7 +54,7 @@ func mustAdd(t *testing.T, h *Hypergraph, pins []int, w int64) {
 
 func TestPartitionKTrivial(t *testing.T) {
 	h := New(uniform(5, 1))
-	assign, cut, err := PartitionK(h, 1, Options{Seed: 1})
+	assign, cut, _, err := PartitionK(context.Background(), h, 1, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +66,10 @@ func TestPartitionKTrivial(t *testing.T) {
 			t.Errorf("k=1 assign = %v", assign)
 		}
 	}
-	if _, _, err := PartitionK(h, 0, Options{}); err == nil {
+	if _, _, _, err := PartitionK(context.Background(), h, 0, Options{}); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, _, err := PartitionK(h, 6, Options{}); err == nil {
+	if _, _, _, err := PartitionK(context.Background(), h, 6, Options{}); err == nil {
 		t.Error("accepted k > n")
 	}
 }
@@ -86,7 +86,7 @@ func TestPartitionObviousClusters(t *testing.T) {
 		}
 	}
 	mustAdd(t, h, []int{4, 5}, 1)
-	assign, cut, err := PartitionK(h, 2, Options{Seed: 3})
+	assign, cut, _, err := PartitionK(context.Background(), h, 2, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPartitionRingLocality(t *testing.T) {
 	for i := 0; i < n; i++ {
 		mustAdd(t, h, []int{i, (i + 1) % n}, 100)
 	}
-	assign, cut, err := PartitionK(h, 4, Options{Seed: 1})
+	assign, cut, _, err := PartitionK(context.Background(), h, 4, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestPartitionBalance(t *testing.T) {
 			}
 		}
 		for _, k := range []int{2, 4} {
-			assign, cut, err := PartitionK(h, k, Options{Seed: seed})
+			assign, cut, _, err := PartitionK(context.Background(), h, k, Options{Seed: seed})
 			if err != nil {
 				return false
 			}
@@ -195,11 +195,11 @@ func TestPartitionDeterministic(t *testing.T) {
 	for e := 0; e < 50; e++ {
 		mustAdd(t, h, []int{rng.Intn(20), rng.Intn(20), rng.Intn(20)}, int64(1+rng.Intn(5)))
 	}
-	a1, c1, err := PartitionK(h, 4, Options{Seed: 99})
+	a1, c1, _, err := PartitionK(context.Background(), h, 4, Options{Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, c2, err := PartitionK(h, 4, Options{Seed: 99})
+	a2, c2, _, err := PartitionK(context.Background(), h, 4, Options{Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestPartitionKEqualsN(t *testing.T) {
 	h := New(uniform(5, 2))
 	mustAdd(t, h, []int{0, 1}, 3)
 	mustAdd(t, h, []int{2, 3, 4}, 4)
-	assign, cut, err := PartitionK(h, 5, Options{Seed: 1})
+	assign, cut, _, err := PartitionK(context.Background(), h, 5, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestPartitionSingleVertexParts(t *testing.T) {
 	for i := 1; i < 6; i++ {
 		mustAdd(t, h, []int{0, i}, 1)
 	}
-	assign, _, err := PartitionK(h, 2, Options{Seed: 2})
+	assign, _, _, err := PartitionK(context.Background(), h, 2, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestMultilevelPathLargeGraph(t *testing.T) {
 	for e := 0; e < 20; e++ {
 		mustAdd(t, h, []int{rng.Intn(100), 100 + rng.Intn(100)}, 1)
 	}
-	assign, cut, err := PartitionK(h, 2, Options{Seed: 7})
+	assign, cut, _, err := PartitionK(context.Background(), h, 2, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

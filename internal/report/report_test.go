@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -14,15 +15,15 @@ import (
 func optimizedResult(t *testing.T) *core.Result {
 	t.Helper()
 	s := soc.MustLoadBenchmark("d695")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 1000, Seed: 1})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 1000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 2, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.TAMOptimization(s, 16, gr.Groups, sischedule.DefaultModel())
+	res, err := core.TAMOptimizationWith(context.Background(), s, 16, gr.Groups, sischedule.DefaultModel(), core.ParallelConfig{Workers: 1, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

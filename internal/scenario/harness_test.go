@@ -119,7 +119,7 @@ func TestEngineOnScenarios(t *testing.T) {
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		res, err := core.TAMOptimization(sc.SOC, 24, sc.Groups, sc.Model())
+		res, err := core.TAMOptimizationWith(context.Background(), sc.SOC, 24, sc.Groups, sc.Model(), core.ParallelConfig{Workers: 1, CacheSize: -1})
 		if err != nil {
 			t.Fatalf("seed %d: optimization: %v", seed, err)
 		}
@@ -149,11 +149,11 @@ func TestExactOnScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		greedy, err := sischedule.ScheduleSITestCons(arch, sc.Groups, m, cons)
+		greedy, err := sischedule.ScheduleSITestConsObs(arch, sc.Groups, m, cons, nil)
 		if err != nil {
 			t.Fatalf("seed %d: greedy: %v", seed, err)
 		}
-		exact, _, _, err := sischedule.ExactScheduleCons(context.Background(), arch, sc.Groups, m, cons)
+		exact, _, _, err := sischedule.ExactSchedule(context.Background(), arch, sc.Groups, m, cons, nil)
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)
 		}

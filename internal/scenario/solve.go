@@ -29,12 +29,12 @@ func Solve(sc *Scenario) (*sischedule.Schedule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	sched, err := sischedule.ScheduleSITestCons(arch, sc.Groups, m, cons)
+	sched, err := sischedule.ScheduleSITestConsObs(arch, sc.Groups, m, cons, nil)
 	if err != nil {
 		return nil, fmt.Errorf("schedule: %w", err)
 	}
 
-	planner := sischedule.NewPlannerCons(sc.Groups, m, cons)
+	planner := sischedule.NewPlanner(sc.Groups, m, cons)
 	si, _, err := planner.Cost(arch)
 	if err != nil {
 		return nil, fmt.Errorf("planner: %w", err)

@@ -299,18 +299,23 @@ func (j *Job) canceledByClient() bool {
 	return j.wantCancel
 }
 
-// finalize moves the job to a terminal state exactly once; extra calls
-// are ignored (e.g. a cancellation racing a completed run).
-func (j *Job) finalize(state State, outcome *Outcome, errMsg string) bool {
+// claim moves the job to a terminal state exactly once; extra calls
+// are no-ops returning false. Done stays open: the one caller whose
+// claim succeeded closes it with publish after its bookkeeping (metrics,
+// flight recorder, journal), so whoever wakes on Done sees all of it.
+func (j *Job) claim(state State, outcome *Outcome, errMsg string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
 		return false
 	}
 	j.state, j.outcome, j.errMsg = state, outcome, errMsg
-	close(j.done)
 	return true
 }
+
+// publish closes Done. Only the caller whose claim succeeded may call
+// it, exactly once.
+func (j *Job) publish() { close(j.done) }
 
 // Status is the JSON view of a job served by GET /v1/jobs/{id}.
 type Status struct {

@@ -23,7 +23,9 @@ import (
 // The format is JSONL. A crash can tear the final line; OpenJournal
 // tolerates that by truncating the torn tail (every complete entry
 // before it survives) so the journal is well-formed again before
-// anything is appended.
+// anything is appended. A crash that cuts only the final newline
+// leaves a complete entry, which OpenJournal keeps and terminates so
+// the next append starts a line of its own.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -46,8 +48,9 @@ type JournalEntry struct {
 
 // OpenJournal opens (creating if needed) the journal at path and
 // returns the entries already on disk, oldest first. A torn final line
-// left by a crash is truncated away before the journal accepts new
-// appends.
+// left by a crash is truncated away, and a complete final entry whose
+// newline the crash cut off gets it back, before the journal accepts
+// new appends.
 func OpenJournal(path string) (*Journal, []JournalEntry, error) {
 	entries, validLen, torn, err := readJournal(path)
 	if err != nil {
@@ -58,11 +61,37 @@ func OpenJournal(path string) (*Journal, []JournalEntry, error) {
 			return nil, nil, fmt.Errorf("repairing journal %s: %w", path, err)
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := terminateLastLine(f); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("repairing journal %s: %w", path, err)
+	}
 	return &Journal{f: f, path: path}, entries, nil
+}
+
+// terminateLastLine durably appends a newline when the file's last
+// byte is not one. Without it the next Append would glue its entry
+// onto the final line, and the following replay would reject the
+// journal as corrupt.
+func terminateLastLine(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, st.Size()-1); err != nil {
+		return err
+	}
+	if last[0] == '\n' {
+		return nil
+	}
+	if _, err := f.Write([]byte{'\n'}); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // readJournal parses the existing journal. validLen is the byte length

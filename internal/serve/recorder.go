@@ -74,7 +74,7 @@ func NewFlightRecorder(maxJobs, maxEvents int) *FlightRecorder {
 // Record stores a finished job's trace, sampling it if it overflows
 // the per-recording bound and evicting the oldest recording beyond the
 // job bound. Re-recording an ID replaces the previous recording (a
-// finalize is exactly-once, so this only happens in tests).
+// terminal claim is exactly-once, so this only happens in tests).
 func (fr *FlightRecorder) Record(jobID string, events []obs.Event) {
 	if fr == nil {
 		return

@@ -308,7 +308,7 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 	queued := job.state == StateQueued
 	job.mu.Unlock()
 	if queued {
-		// If a worker picked the job up in between, finalize is a
+		// If a worker picked the job up in between, finalizeJob is a
 		// no-op for it and the cancelled context aborts the run.
 		s.finalizeJob(job, StateCanceled, nil, "canceled before start")
 	}
@@ -379,12 +379,14 @@ func stateCounterKey(state State) string {
 	}
 }
 
-// finalizeJob applies a terminal transition once, journals it durably,
-// records the trace in the flight recorder and accounts for it.
+// finalizeJob applies a terminal transition once, records the trace in
+// the flight recorder, accounts for it and journals it durably, and
+// only then closes the job's Done channel.
 func (s *Scheduler) finalizeJob(job *Job, state State, outcome *Outcome, errMsg string) {
-	if !job.finalize(state, outcome, errMsg) {
+	if !job.claim(state, outcome, errMsg) {
 		return
 	}
+	defer job.publish()
 	job.release()
 	events := job.Trace.Events()
 	s.recorder.Record(job.ID, events)
@@ -468,8 +470,9 @@ func (s *Scheduler) recoverJournal(path string) error {
 				job = newJob(e.ID, Request{})
 				s.addReplayed(job)
 			}
-			if job.finalize(e.State, e.Result, e.Error) {
+			if job.claim(e.State, e.Result, e.Error) {
 				s.cfg.Metrics.Counter("serve_replayed").Inc()
+				job.publish()
 			}
 		}
 	}
@@ -481,9 +484,11 @@ func (s *Scheduler) recoverJournal(path string) error {
 		}
 		orphans++
 		const msg = "daemon crashed before the job completed; resubmit"
-		job.finalize(StateFailed, nil, msg)
+		job.claim(StateFailed, nil, msg)
 		s.cfg.Metrics.Counter("serve_orphaned").Inc()
-		if err := s.journal.Append(JournalEntry{T: "terminal", ID: id, State: StateFailed, Error: msg}); err != nil {
+		err := s.journal.Append(JournalEntry{T: "terminal", ID: id, State: StateFailed, Error: msg})
+		job.publish()
+		if err != nil {
 			return err
 		}
 	}

@@ -230,7 +230,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := s.sched.Recorder().Get(job.ID)
 	if rec == nil {
-		if !job.State().Terminal() {
+		select {
+		case <-job.Done(): // finished: the recording is in or was evicted
+		default:
 			writeJSON(w, http.StatusConflict, errorBody{
 				Error: fmt.Sprintf("job %s is %s; stream /v1/jobs/%s/events until it finishes", job.ID, job.State(), job.ID),
 			})

@@ -111,23 +111,19 @@ var maFaultKinds = [6]struct{ victim, aggressor Symbol }{
 	{Fall, Fall}, // falling speedup
 }
 
-// Generate produces cfg.N random SI test patterns for s, following the
-// experimental protocol of Section 5. Victim interconnects are drawn
+// GenerateCtx produces cfg.N random SI test patterns for s, following
+// the experimental protocol of Section 5. Victim interconnects are drawn
 // uniformly over all WOC positions (so cores with wider boundaries see
 // proportionally more victims); internal aggressors are distinct WOCs of
 // the victim core, external aggressors distinct WOCs of other cores.
-func Generate(s *soc.SOC, cfg GenConfig) ([]*Pattern, error) {
-	patterns, _, err := GenerateCtx(context.Background(), s, cfg)
-	return patterns, err
-}
-
-// GenerateCtx is Generate as an anytime algorithm: the context is
-// polled every 512 patterns, and on cancellation or deadline expiry the
-// prefix generated so far is returned with the partial flag set and a
-// nil error. The prefix is exactly what a full run with the same seed
-// would have produced first, so downstream consumers see a smaller but
-// otherwise identical workload. If the context fires before any
-// pattern was generated, the context's error is returned instead.
+//
+// It is an anytime algorithm: the context is polled every 512 patterns,
+// and on cancellation or deadline expiry the prefix generated so far is
+// returned with the partial flag set and a nil error. The prefix is
+// exactly what a full run with the same seed would have produced first,
+// so downstream consumers see a smaller but otherwise identical
+// workload. If the context fires before any pattern was generated, the
+// context's error is returned instead.
 func GenerateCtx(ctx context.Context, s *soc.SOC, cfg GenConfig) ([]*Pattern, bool, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N < 0 {

@@ -2,6 +2,7 @@ package sifault
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 func TestPatternRoundTrip(t *testing.T) {
 	s := soc.MustLoadBenchmark("p34392")
 	sp := NewSpace(s)
-	patterns, err := Generate(s, GenConfig{N: 150, Seed: 21})
+	patterns, _, err := GenerateCtx(context.Background(), s, GenConfig{N: 150, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sifault
 
 import (
+	"context"
 	"testing"
 
 	"sitam/internal/soc"
@@ -12,7 +13,7 @@ import (
 // bits confined to the care mask.
 func TestAppendPackedWordsRoundtrip(t *testing.T) {
 	s := soc.MustLoadBenchmark("d695")
-	patterns, err := Generate(s, GenConfig{N: 500, Seed: 3})
+	patterns, _, err := GenerateCtx(context.Background(), s, GenConfig{N: 500, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestAppendPackedWordsArena(t *testing.T) {
 // differential tests).
 func TestConflictsWithMatchesSymbolCompat(t *testing.T) {
 	s := soc.MustLoadBenchmark("d695")
-	patterns, err := Generate(s, GenConfig{N: 120, Seed: 9})
+	patterns, _, err := GenerateCtx(context.Background(), s, GenConfig{N: 120, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sifault
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -184,7 +185,7 @@ func TestGenerateInvariants(t *testing.T) {
 	s := soc.MustLoadBenchmark("p34392")
 	sp := NewSpace(s)
 	cfg := GenConfig{N: 500, Seed: 7}
-	patterns, err := Generate(s, cfg)
+	patterns, _, err := GenerateCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +243,11 @@ func TestGenerateInvariants(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	s := soc.MustLoadBenchmark("p34392")
-	a, err := Generate(s, GenConfig{N: 200, Seed: 42})
+	a, _, err := GenerateCtx(context.Background(), s, GenConfig{N: 200, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(s, GenConfig{N: 200, Seed: 42})
+	b, _, err := GenerateCtx(context.Background(), s, GenConfig{N: 200, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			}
 		}
 	}
-	c, err := Generate(s, GenConfig{N: 200, Seed: 43})
+	c, _, err := GenerateCtx(context.Background(), s, GenConfig{N: 200, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateBusProbability(t *testing.T) {
 	s := soc.MustLoadBenchmark("p34392")
-	patterns, err := Generate(s, GenConfig{N: 4000, Seed: 5})
+	patterns, _, err := GenerateCtx(context.Background(), s, GenConfig{N: 4000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestGenerateBusProbability(t *testing.T) {
 		t.Errorf("bus usage fraction = %.3f, want ~0.5", frac)
 	}
 	// BusProb < 0 disables the bus entirely.
-	noBus, err := Generate(s, GenConfig{N: 300, Seed: 5, BusProb: -1})
+	noBus, _, err := GenerateCtx(context.Background(), s, GenConfig{N: 300, Seed: 5, BusProb: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestGenerateBusProbability(t *testing.T) {
 func TestGenerateQuiesceControls(t *testing.T) {
 	s := soc.MustLoadBenchmark("p34392")
 	sp := NewSpace(s)
-	sparse, err := Generate(s, GenConfig{N: 300, Seed: 9, QuiesceProb: -1})
+	sparse, _, err := GenerateCtx(context.Background(), s, GenConfig{N: 300, Seed: 9, QuiesceProb: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestGenerateQuiesceControls(t *testing.T) {
 			t.Fatalf("pattern %d has %d care bits without quiescing", i, len(p.Care))
 		}
 	}
-	full, err := Generate(s, GenConfig{N: 300, Seed: 9})
+	full, _, err := GenerateCtx(context.Background(), s, GenConfig{N: 300, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,14 +332,14 @@ func TestGenerateQuiesceControls(t *testing.T) {
 
 func TestGenerateErrors(t *testing.T) {
 	s := soc.MustLoadBenchmark("p34392")
-	if _, err := Generate(s, GenConfig{N: -1}); err == nil {
+	if _, _, err := GenerateCtx(context.Background(), s, GenConfig{N: -1}); err == nil {
 		t.Error("accepted negative N")
 	}
-	if _, err := Generate(s, GenConfig{N: 10, MinAggressors: 5, MaxAggressors: 2}); err == nil {
+	if _, _, err := GenerateCtx(context.Background(), s, GenConfig{N: 10, MinAggressors: 5, MaxAggressors: 2}); err == nil {
 		t.Error("accepted inverted aggressor bounds")
 	}
 	tiny := &soc.SOC{Name: "tiny", CoreList: []*soc.Core{{ID: 1, Inputs: 1, Outputs: 1, Patterns: 1}}}
-	if _, err := Generate(tiny, GenConfig{N: 10}); err == nil {
+	if _, _, err := GenerateCtx(context.Background(), tiny, GenConfig{N: 10}); err == nil {
 		t.Error("accepted SOC with a single WOC")
 	}
 }
@@ -347,7 +348,7 @@ func TestGenerateSingleCoreSOC(t *testing.T) {
 	// All aggressors must be internal when there is only one core.
 	s := &soc.SOC{Name: "one", BusWidth: 8, CoreList: []*soc.Core{{ID: 1, Inputs: 4, Outputs: 20, Patterns: 1}}}
 	sp := NewSpace(s)
-	patterns, err := Generate(s, GenConfig{N: 100, Seed: 3})
+	patterns, _, err := GenerateCtx(context.Background(), s, GenConfig{N: 100, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

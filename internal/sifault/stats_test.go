@@ -1,6 +1,7 @@
 package sifault
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestDistribution(t *testing.T) {
 
 func TestAnalyzeGeneratedSet(t *testing.T) {
 	s := soc.MustLoadBenchmark("p34392")
-	patterns, err := Generate(s, GenConfig{N: 2000, Seed: 3})
+	patterns, _, err := GenerateCtx(context.Background(), s, GenConfig{N: 2000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

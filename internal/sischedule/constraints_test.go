@@ -123,7 +123,7 @@ func TestCompileLiftedCycleRejected(t *testing.T) {
 func TestPowerBudgetLimitsConcurrency(t *testing.T) {
 	a, groups := disjointSetup(t)
 	cons := compile(t, a, groups, &soc.ConstraintSet{PowerBudget: 16})
-	sched, err := ScheduleSITestCons(a, groups, Model{}, cons)
+	sched, err := ScheduleSITestConsObs(a, groups, Model{}, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPrecedenceForcesOrder(t *testing.T) {
 	cons := compile(t, a, groups, &soc.ConstraintSet{
 		Precedences: []soc.Precedence{{Before: 1, After: 2}, {Before: 2, After: 3}},
 	})
-	sched, err := ScheduleSITestCons(a, groups, Model{}, cons)
+	sched, err := ScheduleSITestConsObs(a, groups, Model{}, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestPrecedenceForcesOrder(t *testing.T) {
 func TestExclusionSerializes(t *testing.T) {
 	a, groups := disjointSetup(t)
 	cons := compile(t, a, groups, &soc.ConstraintSet{Exclusions: [][]int{{1, 2, 3}}})
-	sched, err := ScheduleSITestCons(a, groups, Model{}, cons)
+	sched, err := ScheduleSITestConsObs(a, groups, Model{}, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestNilConsIdenticalToUnconstrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ScheduleSITestCons(a, fig3Groups(), DefaultModel(), nil)
+	got, err := ScheduleSITestConsObs(a, fig3Groups(), DefaultModel(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +223,11 @@ func TestPlannerMatchesConstrainedScheduler(t *testing.T) {
 	for i, cs := range cases {
 		a, groups := disjointSetup(t)
 		cons := compile(t, a, groups, cs)
-		sched, err := ScheduleSITestCons(a, groups, Model{}, cons)
+		sched, err := ScheduleSITestConsObs(a, groups, Model{}, cons, nil)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		p := NewPlannerCons(groups, Model{}, cons)
+		p := NewPlanner(groups, Model{}, cons)
 		for pass := 0; pass < 2; pass++ { // cold memo, then warm
 			total, _, err := p.Cost(a)
 			if err != nil {
@@ -252,11 +252,11 @@ func TestExactConsMatchesGreedyOnSerialChain(t *testing.T) {
 			{Before: 1, After: 2}, {Before: 2, After: 3}, {Before: 3, After: 4},
 		},
 	})
-	sched, err := ScheduleSITestCons(a, groups, Model{}, cons)
+	sched, err := ScheduleSITestConsObs(a, groups, Model{}, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, _, _, err := ExactScheduleCons(context.Background(), a, groups, Model{}, cons)
+	exact, _, _, err := ExactSchedule(context.Background(), a, groups, Model{}, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,11 +281,11 @@ func TestExactConsNeverBeatenByGreedy(t *testing.T) {
 		if cs != nil {
 			cons = compile(t, a, groups, cs)
 		}
-		sched, err := ScheduleSITestCons(a, groups, Model{}, cons)
+		sched, err := ScheduleSITestConsObs(a, groups, Model{}, cons, nil)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		exact, _, _, err := ExactScheduleCons(context.Background(), a, groups, Model{}, cons)
+		exact, _, _, err := ExactSchedule(context.Background(), a, groups, Model{}, cons, nil)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -301,11 +301,11 @@ func TestExactConsNilMatchesUnconstrained(t *testing.T) {
 	a.AddRail([]int{1, 2}, 2)
 	a.AddRail([]int{3, 4}, 2)
 	a.AddRail([]int{5}, 2)
-	ref, refNodes, err := ExactSchedule(a, fig3Groups(), DefaultModel())
+	ref, refNodes, _, err := exactSchedule(context.Background(), a, fig3Groups(), DefaultModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotNodes, _, err := ExactScheduleCons(context.Background(), a, fig3Groups(), DefaultModel(), nil)
+	got, gotNodes, _, err := ExactSchedule(context.Background(), a, fig3Groups(), DefaultModel(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,14 +361,14 @@ func TestValidateScheduleCatchesViolations(t *testing.T) {
 func TestConstrainedInfeasibleGroup(t *testing.T) {
 	a, groups := disjointSetup(t)
 	cons := compile(t, a, groups, &soc.ConstraintSet{PowerBudget: 4})
-	if _, err := ScheduleSITestCons(a, groups, Model{}, cons); err == nil {
+	if _, err := ScheduleSITestConsObs(a, groups, Model{}, cons, nil); err == nil {
 		t.Error("scheduler accepted group hotter than the budget")
 	}
-	p := NewPlannerCons(groups, Model{}, cons)
+	p := NewPlanner(groups, Model{}, cons)
 	if _, _, err := p.Cost(a); err == nil {
 		t.Error("planner accepted group hotter than the budget")
 	}
-	if _, _, _, err := ExactScheduleCons(context.Background(), a, groups, Model{}, cons); err == nil {
+	if _, _, _, err := ExactSchedule(context.Background(), a, groups, Model{}, cons, nil); err == nil {
 		t.Error("exact accepted group hotter than the budget")
 	}
 }

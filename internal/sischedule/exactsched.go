@@ -24,31 +24,42 @@ const MaxExactGroups = 10
 // ExactSchedule returns the minimum-makespan SI testing time for the
 // groups on the architecture (same cost model as ScheduleSITest) and
 // the number of branch-and-bound nodes explored.
-func ExactSchedule(a *tam.Architecture, groups []*Group, m Model) (int64, int, error) {
-	t, nodes, _, err := ExactScheduleCtx(context.Background(), a, groups, m)
-	return t, nodes, err
-}
-
-// ExactScheduleCtx is ExactSchedule as an anytime algorithm. The
-// context is polled every 256 branch-and-bound nodes; on cancellation
-// or deadline expiry the search stops and the best complete schedule
-// found so far is returned with the partial flag set. Because the
-// search enumerates complete active schedules, a partial result is a
-// valid achievable makespan — an upper bound on the true optimum, never
-// below it. If the context fires before any complete schedule was
-// found, the context's error is returned.
-func ExactScheduleCtx(ctx context.Context, a *tam.Architecture, groups []*Group, m Model) (int64, int, bool, error) {
-	return ExactScheduleObs(ctx, a, groups, m, nil)
-}
-
-// ExactScheduleObs is ExactScheduleCtx with tracing: the search is
-// bracketed in an "exact schedule" phase span whose PhaseEnd carries
-// the optimal (or best-so-far) makespan and the explored node count,
-// and an interruption additionally emits a deadline_hit event. A nil
-// sink traces nothing.
-func ExactScheduleObs(ctx context.Context, a *tam.Architecture, groups []*Group, m Model, sink obs.Sink) (int64, int, bool, error) {
+//
+// A non-nil cons switches to branch-and-bound over precedence-feasible
+// permutations, each job placed at its earliest start satisfying rail
+// availability, power headroom over its whole duration, finished
+// predecessors and idle exclusion partners. This is the serial
+// schedule-generation scheme of resource-constrained project
+// scheduling, whose enumeration is known to contain an optimum for
+// regular measures; it bounds the constrained Algorithm 1's optimality
+// gap exactly as the unconstrained search does.
+//
+// It is an anytime algorithm. The context is polled every 256
+// branch-and-bound nodes; on cancellation or deadline expiry the search
+// stops and the best complete schedule found so far is returned with
+// the partial flag set. Because the search enumerates complete active
+// schedules, a partial result is a valid achievable makespan — an upper
+// bound on the true optimum, never below it. If the context fires
+// before any complete schedule was found, the context's error is
+// returned.
+//
+// A non-nil sink brackets the search in an "exact schedule" phase span
+// whose PhaseEnd carries the optimal (or best-so-far) makespan and the
+// explored node count; an interruption additionally emits a
+// deadline_hit event. A nil sink traces nothing.
+func ExactSchedule(ctx context.Context, a *tam.Architecture, groups []*Group, m Model, cons *Constraints, sink obs.Sink) (int64, int, bool, error) {
 	span := obs.Span(sink, "exact schedule")
-	t, nodes, stopped, err := exactSchedule(ctx, a, groups, m)
+	var (
+		t       int64
+		nodes   int
+		stopped bool
+		err     error
+	)
+	if cons == nil {
+		t, nodes, stopped, err = exactSchedule(ctx, a, groups, m)
+	} else {
+		t, nodes, stopped, err = exactScheduleCons(ctx, a, groups, m, cons)
+	}
 	if sink != nil && err == nil {
 		if stopped {
 			sink.Emit(obs.Event{Type: obs.DeadlineHit, Phase: "exact schedule", Cause: obs.CtxCause(ctx.Err())})
@@ -56,22 +67,6 @@ func ExactScheduleObs(ctx context.Context, a *tam.Architecture, groups []*Group,
 		span.End(t, int64(nodes))
 	}
 	return t, nodes, stopped, err
-}
-
-// ExactScheduleCons is ExactScheduleCtx under a compiled constraint
-// set: branch-and-bound over precedence-feasible permutations, each job
-// placed at its earliest start satisfying rail availability, power
-// headroom over its whole duration, finished predecessors and idle
-// exclusion partners. This is the serial schedule-generation scheme of
-// resource-constrained project scheduling, whose enumeration is known
-// to contain an optimum for regular measures; it bounds the constrained
-// Algorithm 1's optimality gap exactly as the unconstrained pair does.
-// A nil cons falls back to the unconstrained search unchanged.
-func ExactScheduleCons(ctx context.Context, a *tam.Architecture, groups []*Group, m Model, cons *Constraints) (int64, int, bool, error) {
-	if cons == nil {
-		return exactSchedule(ctx, a, groups, m)
-	}
-	return exactScheduleCons(ctx, a, groups, m, cons)
 }
 
 func exactSchedule(ctx context.Context, a *tam.Architecture, groups []*Group, m Model) (int64, int, bool, error) {

@@ -88,17 +88,13 @@ type Planner struct {
 // NewPlanner builds a planner over the given groups and model. The
 // per-core metadata is derived lazily from the first architecture's
 // SOC; all architectures passed to Cost must share that SOC.
-func NewPlanner(groups []*Group, m Model) *Planner {
-	return NewPlannerCons(groups, m, nil)
-}
-
-// NewPlannerCons is NewPlanner under a compiled constraint set: Cost
-// packs with the constrained Algorithm 1 (power, precedence,
-// exclusion), matching ScheduleSITestCons's TotalSI exactly. The rail
-// cost memo is unaffected — constraints only shape the packing, never
-// a rail's per-pattern cost. A nil cons is byte-identical to
-// NewPlanner.
-func NewPlannerCons(groups []*Group, m Model, cons *Constraints) *Planner {
+//
+// Under a compiled constraint set Cost packs with the constrained
+// Algorithm 1 (power, precedence, exclusion), matching
+// ScheduleSITestConsObs's TotalSI exactly. The rail cost memo is
+// unaffected — constraints only shape the packing, never a rail's
+// per-pattern cost. A nil cons is unconstrained.
+func NewPlanner(groups []*Group, m Model, cons *Constraints) *Planner {
 	p := &Planner{groups: groups, model: m, cons: cons}
 	p.memo.Store(new(sync.Map))
 	p.scratch.New = func() any {
@@ -303,7 +299,7 @@ func (p *Planner) Cost(a *tam.Architecture) (int64, CostStats, error) {
 	// records them as zero-length slots, which do not move TotalSI).
 	// Under constraints the pick additionally requires power headroom,
 	// finished predecessors and idle exclusion partners, exactly like
-	// ScheduleSITestCons; skipped groups count as finished at t=0.
+	// ScheduleSITestConsObs; skipped groups count as finished at t=0.
 	cons := p.cons
 	if cons != nil {
 		if cap(sc.endOf) < len(p.groups) {

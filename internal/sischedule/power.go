@@ -33,12 +33,11 @@ func GroupPower(a *tam.Architecture, g *Group) int64 {
 // whose power alone exceeds a positive budget makes the schedule
 // infeasible and is reported as an error.
 //
-// It is a compatibility wrapper over ScheduleSITestCons with a
-// budget-only constraint set; the full constraint vocabulary (power
+// It runs ScheduleSITestConsObs with a budget-only constraint set; the full constraint vocabulary (power
 // plus precedence and exclusion, from the .soc Constraints stanza)
 // goes through CompileConstraints.
 func ScheduleSITestPower(a *tam.Architecture, groups []*Group, m Model, budget int64) (*Schedule, error) {
-	return ScheduleSITestCons(a, groups, m, powerOnly(a, groups, budget))
+	return ScheduleSITestConsObs(a, groups, m, powerOnly(a, groups, budget), nil)
 }
 
 // ValidatePower checks that no instant of the schedule exceeds the

@@ -204,29 +204,21 @@ func ScheduleSITest(a *tam.Architecture, groups []*Group, m Model) (*Schedule, e
 	return ScheduleSITestConsObs(a, groups, m, nil, nil)
 }
 
-// ScheduleSITestCons is ScheduleSITest under a compiled constraint set:
-// a group is only picked when its rails are free AND its power fits the
-// remaining budget AND all its predecessor groups have finished AND no
-// mutually exclusive group is running; otherwise time advances exactly
-// as in Algorithm 1. A nil cons is byte-identical to ScheduleSITest —
-// constrained and unconstrained runs share this one code path.
-func ScheduleSITestCons(a *tam.Architecture, groups []*Group, m Model, cons *Constraints) (*Schedule, error) {
-	return ScheduleSITestConsObs(a, groups, m, cons, nil)
-}
-
-// ScheduleSITestObs is ScheduleSITest with tracing: each scheduled
-// slot is reported as an si_group_scheduled event (group name, begin
-// and end times, involved rail count, bottleneck rail, pattern count)
-// in slot order, which is deterministic. A nil sink traces nothing.
-func ScheduleSITestObs(a *tam.Architecture, groups []*Group, m Model, sink obs.Sink) (*Schedule, error) {
-	return ScheduleSITestConsObs(a, groups, m, nil, sink)
-}
-
-// ScheduleSITestConsObs is ScheduleSITestCons with tracing. Under a
-// constraint set each si_group_scheduled event additionally carries the
-// group's power and the budget, making every event self-contained for
-// downstream power validation (sitrace -check) even on truncated
-// traces.
+// ScheduleSITestConsObs is ScheduleSITest under a compiled constraint
+// set and with tracing. Under a constraint set a group is only picked
+// when its rails are free AND its power fits the remaining budget AND
+// all its predecessor groups have finished AND no mutually exclusive
+// group is running; otherwise time advances exactly as in Algorithm 1.
+// A nil cons is byte-identical to ScheduleSITest — constrained and
+// unconstrained runs share this one code path.
+//
+// A non-nil sink receives each scheduled slot as an si_group_scheduled
+// event (group name, begin and end times, involved rail count,
+// bottleneck rail, pattern count) in slot order, which is
+// deterministic. Under a constraint set each event additionally carries
+// the group's power and the budget, making every event self-contained
+// for downstream power validation (sitrace -check) even on truncated
+// traces. A nil sink traces nothing.
 func ScheduleSITestConsObs(a *tam.Architecture, groups []*Group, m Model, cons *Constraints, sink obs.Sink) (*Schedule, error) {
 	sched, err := scheduleSITest(a, groups, m, cons)
 	if err != nil || sink == nil {

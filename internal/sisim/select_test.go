@@ -1,6 +1,7 @@
 package sisim
 
 import (
+	"context"
 	"testing"
 
 	"sitam/internal/sifault"
@@ -13,7 +14,7 @@ func TestSelectUsefulKeepsCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patterns, err := sifault.Generate(topo.SOC, sifault.GenConfig{N: 2000, Seed: 6})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), topo.SOC, sifault.GenConfig{N: 2000, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sisim
 
 import (
+	"context"
 	"testing"
 
 	"sitam/internal/sifault"
@@ -203,7 +204,7 @@ func TestRandomPatternsPartialCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patterns, err := sifault.Generate(topo.SOC, sifault.GenConfig{N: 300, Seed: 2})
+	patterns, _, err := sifault.GenerateCtx(context.Background(), topo.SOC, sifault.GenConfig{N: 300, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,28 +20,13 @@ import (
 	"sitam/internal/tam"
 )
 
-// Optimize designs a TestRail architecture of total width wmax for s,
-// minimizing the SOC internal test time T_soc_in.
-func Optimize(s *soc.SOC, wmax int) (*tam.Architecture, int64, error) {
-	a, obj, _, err := OptimizeCtx(context.Background(), s, wmax)
-	return a, obj, err
-}
-
-// OptimizeCtx is Optimize as an anytime algorithm, with the same
-// best-so-far semantics as core.(*Engine).OptimizeCtx: interruption
-// mid-search returns the incumbent architecture with Status.Partial
-// set and a nil error.
-func OptimizeCtx(ctx context.Context, s *soc.SOC, wmax int) (*tam.Architecture, int64, core.Status, error) {
-	eng, err := core.NewEngine(s, wmax, core.InTestEvaluator{})
-	if err != nil {
-		return nil, 0, core.Status{}, err
-	}
-	return eng.OptimizeCtx(ctx)
-}
-
-// OptimizeWithCtx is OptimizeCtx with parallel candidate evaluation
-// and a memoized evaluation cache per cfg (see core.ParallelConfig).
-// The selected architecture is byte-identical at any worker count.
+// OptimizeWithCtx designs a TestRail architecture of total width wmax
+// for s, minimizing the SOC internal test time T_soc_in. Candidate
+// evaluation is parallel and memoized per cfg (see
+// core.ParallelConfig); the selected architecture is byte-identical at
+// any worker count. It has the best-so-far semantics of
+// core.(*Engine).OptimizeCtx: interruption mid-search returns the
+// incumbent architecture with Status.Partial set and a nil error.
 func OptimizeWithCtx(ctx context.Context, s *soc.SOC, wmax int, cfg core.ParallelConfig) (*tam.Architecture, int64, core.Status, error) {
 	eng, _, err := core.NewParallelEngine(s, wmax, core.InTestEvaluator{}, cfg)
 	if err != nil {
@@ -76,25 +61,15 @@ func LowerBound(s *soc.SOC, wmax int) (int64, error) {
 	return area, nil
 }
 
-// OptimizeThenScheduleSI reproduces the T_[8] column of the paper's
-// tables: optimize the architecture for InTest only, then compute the
-// total testing time T_soc = T_in + T_si once the SI test groups are
-// scheduled on that SI-oblivious architecture.
-func OptimizeThenScheduleSI(s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model) (*core.Result, error) {
-	return OptimizeThenScheduleSICtx(context.Background(), s, wmax, groups, m)
-}
-
-// OptimizeThenScheduleSICtx is OptimizeThenScheduleSI as an anytime
-// algorithm: interruption mid-optimization evaluates and returns the
-// best SI-oblivious architecture found so far with Result.Partial set.
-func OptimizeThenScheduleSICtx(ctx context.Context, s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model) (*core.Result, error) {
-	return OptimizeThenScheduleSIWith(ctx, s, wmax, groups, m, core.ParallelConfig{Workers: 1, CacheSize: -1})
-}
-
-// OptimizeThenScheduleSIWith is OptimizeThenScheduleSICtx with
-// parallel candidate evaluation, memoization, tracing and metrics per
-// cfg. Result.Cause, Result.Cache and Result.Metrics are populated the
-// same way as for the SI-aware optimizer.
+// OptimizeThenScheduleSIWith reproduces the T_[8] column of the
+// paper's tables: optimize the architecture for InTest only, then
+// compute the total testing time T_soc = T_in + T_si once the SI test
+// groups are scheduled on that SI-oblivious architecture. Candidate
+// evaluation, memoization, tracing and metrics follow cfg, and
+// Result.Cause, Result.Cache and Result.Metrics are populated the same
+// way as for the SI-aware optimizer. Interruption mid-optimization
+// evaluates and returns the best SI-oblivious architecture found so far
+// with Result.Partial set. It is core.Solve with AlgoBaseline.
 func OptimizeThenScheduleSIWith(ctx context.Context, s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model, cfg core.ParallelConfig) (*core.Result, error) {
 	return core.Solve(ctx, s, wmax, groups, m, core.Algo{Kind: core.AlgoBaseline}, cfg)
 }

@@ -1,17 +1,22 @@
 package trarchitect
 
 import (
+	"context"
+	"sitam/internal/core"
 	"testing"
 
 	"sitam/internal/sischedule"
 	"sitam/internal/soc"
 )
 
+// serialCfg is the single-worker, cache-free engine configuration.
+var serialCfg = core.ParallelConfig{Workers: 1, CacheSize: -1}
+
 func TestOptimizeBenchmarksValid(t *testing.T) {
 	for _, name := range soc.Benchmarks() {
 		s := soc.MustLoadBenchmark(name)
 		for _, w := range []int{8, 24, 64} {
-			arch, obj, err := Optimize(s, w)
+			arch, obj, _, err := OptimizeWithCtx(context.Background(), s, w, serialCfg)
 			if err != nil {
 				t.Fatalf("%s W=%d: %v", name, w, err)
 			}
@@ -30,15 +35,15 @@ func TestOptimizeBenchmarksValid(t *testing.T) {
 
 func TestOptimizeImprovesWithWidth(t *testing.T) {
 	s := soc.MustLoadBenchmark("p93791")
-	t8, _, err := Optimize(s, 8)
+	t8, _, _, err := OptimizeWithCtx(context.Background(), s, 8, serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t32, _, err := Optimize(s, 32)
+	t32, _, _, err := OptimizeWithCtx(context.Background(), s, 32, serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t64, _, err := Optimize(s, 64)
+	t64, _, _, err := OptimizeWithCtx(context.Background(), s, 64, serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +59,11 @@ func TestP34392BottleneckFlattening(t *testing.T) {
 	// wires stop helping — the flattening visible in the paper's
 	// Table 2 for Wmax >= 40.
 	s := soc.MustLoadBenchmark("p34392")
-	a48, _, err := Optimize(s, 48)
+	a48, _, _, err := OptimizeWithCtx(context.Background(), s, 48, serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a64, _, err := Optimize(s, 64)
+	a64, _, _, err := OptimizeWithCtx(context.Background(), s, 64, serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +85,7 @@ func TestLowerBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			arch, _, err := Optimize(s, w)
+			arch, _, _, err := OptimizeWithCtx(context.Background(), s, w, serialCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +124,7 @@ func TestOptimizeThenScheduleSI(t *testing.T) {
 		{Name: "g1", Cores: s.SortedIDs(), Patterns: 1000},
 		{Name: "g2", Cores: []int{1, 2, 3}, Patterns: 500},
 	}
-	res, err := OptimizeThenScheduleSI(s, 16, groups, sischedule.DefaultModel())
+	res, err := OptimizeThenScheduleSIWith(context.Background(), s, 16, groups, sischedule.DefaultModel(), serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +142,7 @@ func TestOptimizeThenScheduleSI(t *testing.T) {
 	}
 	// The baseline optimizes InTest only, so its InTest time matches a
 	// plain Optimize run.
-	arch, _, err := Optimize(s, 16)
+	arch, _, _, err := OptimizeWithCtx(context.Background(), s, 16, serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
