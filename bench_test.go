@@ -107,18 +107,13 @@ func BenchmarkFig2Partition(b *testing.B) {
 	}
 	sp := sifault.NewSpace(s)
 	weights := make([]int64, s.NumCores())
-	idx := map[int]int{}
 	for i, c := range s.Cores() {
 		weights[i] = int64(c.WOC())
-		idx[c.ID] = i
 	}
 	h := hypergraph.New(weights)
+	var pins []int
 	for _, p := range patterns {
-		cc := p.CareCores(sp)
-		pins := make([]int, len(cc))
-		for j, id := range cc {
-			pins[j] = idx[id]
-		}
+		pins = sp.AppendCareBlocks(pins[:0], p)
 		if err := h.AddEdge(pins, 1); err != nil {
 			b.Fatal(err)
 		}

@@ -6,6 +6,7 @@ package main
 // that touches only the compared fields and leaves the rest intact.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -91,11 +92,15 @@ func updateBaseline(path string, s suite, measured map[string][]float64) error {
 			}
 		}
 	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
+	// Prose such as "<= 1.5x" stays readable: no HTML escaping.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 func readDoc(path string) (map[string]any, error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -139,7 +140,7 @@ func TestUpdateBaselinePreservesProse(t *testing.T) {
     {"name": "BenchmarkGuard", "iters": 2, "custom_ns": 42},
     {"name": "BenchmarkB", "iters": 2, "ns_per_op": 500}
   ],
-  "findings": ["keep this sentence"]
+  "findings": ["keep this sentence", "keep <= & > as written"]
 }
 `
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
@@ -163,6 +164,9 @@ func TestUpdateBaselinePreservesProse(t *testing.T) {
 	}
 	if doc["findings"].([]any)[0] != "keep this sentence" {
 		t.Error("findings prose lost")
+	}
+	if !bytes.Contains(b, []byte(`"keep <= & > as written"`)) {
+		t.Error("prose rewritten with HTML escapes")
 	}
 	env := doc["environment"].(map[string]any)
 	if env["note"] != "keep me" {

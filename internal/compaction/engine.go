@@ -174,12 +174,15 @@ func newFFEngine(sp *sifault.Space, patterns []*sifault.Pattern) *ffEngine {
 // full/loose/bus metadata the filter masks operate on.
 func (e *ffEngine) pack(sp *sifault.Space) {
 	n := len(e.patterns)
-	var nWordsTotal, nCareTotal, nBusTotal int
+	// A pattern packs into at most the words between its first and last
+	// care position.
+	var nWordsTotal, nBusTotal int
 	for _, p := range e.patterns {
-		nCareTotal += len(p.Care)
+		if k := len(p.Care); k > 0 {
+			nWordsTotal += int(p.Care[k-1].Pos>>6-p.Care[0].Pos>>6) + 1
+		}
 		nBusTotal += len(p.Bus)
 	}
-	nWordsTotal = nCareTotal // upper bound
 
 	wordArena := make([]sifault.PackedWord, 0, nWordsTotal)
 	wordOff := make([]int32, n+1)

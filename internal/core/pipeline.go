@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 
 	"sitam/internal/compaction"
@@ -97,6 +98,8 @@ type GroupingOptions struct {
 // Partial but remains a valid, schedulable grouping covering every
 // input pattern. The context's error is returned only when it is done
 // before any work started.
+//
+//sitlint:allow ctxflow — ctx reaches every compaction through the parallelFor closure and the partitioner directly; the loops here are linear bookkeeping
 func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern, opts GroupingOptions) (*GroupingResult, error) {
 	if opts.Parts < 1 {
 		return nil, fmt.Errorf("core: Parts must be >= 1, got %d", opts.Parts)
@@ -107,54 +110,64 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 		return nil, fmt.Errorf("core: Parts=%d exceeds core count %d", opts.Parts, len(cores))
 	}
 	// Caller-built patterns may reference positions outside the SOC's
-	// WOC space; validate up front so bad input surfaces as an error
-	// here instead of a panic inside the care-core scan below.
+	// WOC space or care about nothing; validate up front so bad input
+	// surfaces as an error here instead of a panic inside the care-core
+	// scan below.
 	for i, p := range patterns {
 		if err := p.Validate(sp); err != nil {
 			return nil, fmt.Errorf("core: pattern %d: %w", i, err)
+		}
+		if len(p.Care) == 0 {
+			return nil, fmt.Errorf("core: pattern %d has no care positions", i)
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Vertex numbering: position order.
-	vertexOf := make(map[int]int, len(cores))
+	// Hyperedges: one walk per pattern yields its care cores as sorted
+	// vertices (cores are numbered in position order), and patterns with
+	// equal pin sets share one edge weighted by their multiplicity.
 	weights := make([]int64, len(cores))
 	for i, c := range cores {
-		vertexOf[c.ID] = i
 		weights[i] = int64(c.WOC())
 	}
-
-	// Care-core sets per pattern, deduplicated into weighted hyperedges.
-	careCores := make([][]int, len(patterns))
-	edgeWeight := make(map[string]int64)
-	edgePins := make(map[string][]int)
+	edgeOf := make([]int32, len(patterns))
+	edgeID := make(map[string]int32)
+	var (
+		edgeKeys   []string
+		edgePins   [][]int
+		edgeWeight []int64
+		pins       []int
+		key        []byte
+	)
 	for i, p := range patterns {
-		cc := p.CareCores(sp)
-		careCores[i] = cc
-		pins := make([]int, len(cc))
-		for j, id := range cc {
-			pins[j] = vertexOf[id]
+		pins = sp.AppendCareBlocks(pins[:0], p)
+		key = appendPinKey(key[:0], pins)
+		id, ok := edgeID[string(key)]
+		if !ok {
+			id = int32(len(edgePins))
+			edgeID[string(key)] = id
+			edgeKeys = append(edgeKeys, string(key))
+			edgePins = append(edgePins, append([]int(nil), pins...))
+			edgeWeight = append(edgeWeight, 0)
 		}
-		k := pinKey(pins)
-		edgeWeight[k] += int64(p.Weight)
-		if _, ok := edgePins[k]; !ok {
-			edgePins[k] = pins
-		}
+		edgeOf[i] = id
+		edgeWeight[id] += int64(p.Weight)
 	}
 
 	assign := make([]int, len(cores)) // all zero for Parts == 1
 	partitionCut := false
 	if opts.Parts > 1 {
 		h := hypergraph.New(weights)
-		keys := make([]string, 0, len(edgePins))
-		for k := range edgePins {
-			keys = append(keys, k)
+		order := make([]int32, len(edgePins))
+		for i := range order {
+			order[i] = int32(i)
 		}
-		sort.Strings(keys) // deterministic edge order
-		for _, k := range keys {
-			if err := h.AddEdge(edgePins[k], edgeWeight[k]); err != nil {
+		// Deterministic edge order: by pin key.
+		sort.Slice(order, func(a, b int) bool { return edgeKeys[order[a]] < edgeKeys[order[b]] })
+		for _, id := range order {
+			if err := h.AddEdge(edgePins[id], edgeWeight[id]); err != nil {
 				return nil, err
 			}
 		}
@@ -174,64 +187,102 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 		res.PartOf[c.ID] = assign[i]
 	}
 
-	// Classify patterns into parts; spanning patterns go to the
-	// residual bucket.
-	perPart := make([][]*sifault.Pattern, opts.Parts)
-	var residual []*sifault.Pattern
-	for i, p := range patterns {
-		cc := careCores[i]
-		part := assign[vertexOf[cc[0]]]
-		spans := false
-		for _, id := range cc[1:] {
-			if assign[vertexOf[id]] != part {
-				spans = true
+	// Buckets in group order: the residual one first (for Parts > 1),
+	// then one per part. Every edge lies inside one part or spans
+	// several, so classifying edges classifies their patterns, and a
+	// bucket's cores are the union of its edges' pins — the care cores
+	// of its compacted patterns, since merging unions care positions.
+	// The residual group comes first: it involves (nearly) every core,
+	// so scheduling it early keeps Algorithm 1's packing tight.
+	first := 0 // bucket of part 0
+	names := make([]string, 0, opts.Parts+1)
+	if opts.Parts > 1 {
+		first = 1
+		names = append(names, "RES")
+	}
+	for part := 0; part < opts.Parts; part++ {
+		names = append(names, fmt.Sprintf("G%d", part+1))
+	}
+	edgeBucket := make([]int, len(edgePins))
+	inBucket := make([]bool, len(names)*len(cores))
+	for id, pins := range edgePins {
+		bk := first + assign[pins[0]]
+		for _, v := range pins[1:] {
+			if assign[v] != assign[pins[0]] {
+				bk = 0
 				break
 			}
 		}
-		if spans {
-			residual = append(residual, p)
-			res.CutPatterns += int64(p.Weight)
-		} else {
-			perPart[part] = append(perPart[part], p)
+		edgeBucket[id] = bk
+		for _, v := range pins {
+			inBucket[bk*len(cores)+v] = true
 		}
 	}
-
-	// Compact each bucket separately and build schedulable groups. The
-	// residual group comes first: it involves (nearly) every core, so
-	// scheduling it early keeps Algorithm 1's packing tight.
-	compactionCut := false
-	addGroup := func(name string, ps []*sifault.Pattern) {
-		if len(ps) == 0 {
-			return
+	buckets := make([][]*sifault.Pattern, len(names))
+	for i, p := range patterns {
+		bk := edgeBucket[edgeOf[i]]
+		if bk < first {
+			res.CutPatterns += int64(p.Weight)
 		}
-		comp, stats, cut := compaction.Greedy(ctx, sp, ps, opts.Trace, name)
-		compactionCut = compactionCut || cut
-		res.Stats.Original += stats.Original
-		res.Stats.Compacted += stats.Compacted
-		res.Stats.Passes += stats.Passes
-		coreSet := make(map[int]struct{})
-		for _, p := range comp {
-			for _, id := range p.CareCores(sp) {
-				coreSet[id] = struct{}{}
+		buckets[bk] = append(buckets[bk], p)
+	}
+
+	// Compact the buckets concurrently, largest first. Each traces into
+	// its own buffer, drained in group order, so the trace is the
+	// serial one up to span durations.
+	type compacted struct {
+		ps    []*sifault.Pattern
+		stats compaction.Stats
+		cut   bool
+	}
+	out := make([]compacted, len(buckets))
+	var locals []*obs.Local
+	if opts.Trace != nil {
+		locals = make([]*obs.Local, len(buckets))
+	}
+	var todo []int
+	for bk, ps := range buckets {
+		if len(ps) > 0 {
+			todo = append(todo, bk)
+			if locals != nil {
+				locals[bk] = obs.NewLocal()
 			}
 		}
-		ids := make([]int, 0, len(coreSet))
-		for id := range coreSet {
-			ids = append(ids, id)
+	}
+	sort.SliceStable(todo, func(a, b int) bool { return len(buckets[todo[a]]) > len(buckets[todo[b]]) })
+	parallelFor(runtime.GOMAXPROCS(0), len(todo), func(_, i int) {
+		bk := todo[i]
+		var sink obs.Sink
+		if locals != nil {
+			sink = locals[bk]
+		}
+		o := &out[bk]
+		o.ps, o.stats, o.cut = compaction.Greedy(ctx, sp, buckets[bk], sink, names[bk])
+	})
+	obs.Drain(opts.Trace, locals...)
+
+	compactionCut := false
+	for bk, o := range out {
+		if len(buckets[bk]) == 0 {
+			continue
+		}
+		compactionCut = compactionCut || o.cut
+		res.Stats.Original += o.stats.Original
+		res.Stats.Compacted += o.stats.Compacted
+		res.Stats.Passes += o.stats.Passes
+		var ids []int
+		for v, c := range cores {
+			if inBucket[bk*len(cores)+v] {
+				ids = append(ids, c.ID)
+			}
 		}
 		sort.Ints(ids)
 		res.Groups = append(res.Groups, &sischedule.Group{
-			Name:     name,
+			Name:     names[bk],
 			Cores:    ids,
-			Patterns: int64(len(comp)),
+			Patterns: int64(len(o.ps)),
 		})
-		res.GroupPatterns = append(res.GroupPatterns, comp)
-	}
-	if opts.Parts > 1 {
-		addGroup("RES", residual)
-	}
-	for part := 0; part < opts.Parts; part++ {
-		addGroup(fmt.Sprintf("G%d", part+1), perPart[part])
+		res.GroupPatterns = append(res.GroupPatterns, o.ps)
 	}
 	if partitionCut || compactionCut {
 		res.Partial = true
@@ -248,12 +299,13 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 	return res, nil
 }
 
-func pinKey(pins []int) string {
-	b := make([]byte, 0, len(pins)*3)
+// appendPinKey appends the edge key of a sorted pin list: three
+// little-endian bytes per pin.
+func appendPinKey(b []byte, pins []int) []byte {
 	for _, p := range pins {
 		b = append(b, byte(p), byte(p>>8), byte(p>>16))
 	}
-	return string(b)
+	return b
 }
 
 // Finish assembles the Result of an optimization run: it evaluates the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"sitam/internal/soc"
 )
@@ -139,26 +138,104 @@ func GenerateCtx(ctx context.Context, s *soc.SOC, cfg GenConfig) ([]*Pattern, bo
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	g := newGenerator(sp, cfg)
 	patterns := make([]*Pattern, 0, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		if i > 0 && i&511 == 0 && ctx.Err() != nil {
 			return patterns, true, nil
 		}
-		patterns = append(patterns, genOne(sp, cfg, rng))
+		patterns = append(patterns, g.next())
 	}
 	return patterns, false, nil
 }
 
-func genOne(sp *Space, cfg GenConfig, rng *rand.Rand) *Pattern {
+// Arena chunk sizes, in elements. Patterns of one run share chunks, so
+// a run makes a handful of large allocations instead of three small
+// ones per pattern.
+const (
+	patternChunk = 1 << 12
+	careChunk    = 1 << 14
+	busChunk     = 1 << 12
+)
+
+// generator draws the patterns of one GenerateCtx run.
+//
+// Draw-order contract: next consumes the random source in a fixed
+// order — victim position,
+// Na, the external-aggressor coin and count, the fault kind, the
+// internal aggressors (redrawing duplicates), the external aggressors
+// (redrawing duplicates), one coin and one value per quiesced
+// background WOC in position order, then the bus coin, the line count
+// and a math/rand.Perm-order permutation of the bus lines. Equal seeds
+// therefore give equal pattern sets across implementations; the
+// map-and-sort reference form in generate_test.go pins it.
+//
+// The victim core's block is built in a dense scratch (victim, internal
+// aggressors and quiesced background), the few external aggressors in
+// a small insertion-sorted list, and the care list is emitted in
+// position order by merging the two, so no pattern needs a sort.
+type generator struct {
+	sp  *Space
+	cfg GenConfig
+	rng *rand.Rand
+
+	// Per-block external-aggressor ranges and their position counts.
+	ext      [][]posRange
+	extTotal []int
+
+	block []Symbol // victim block scratch; all X between patterns
+	exts  []int32  // external aggressor positions, ascending
+	perm  []int    // bus line permutation scratch
+
+	// Unused tails of the current arena chunks.
+	patterns []Pattern
+	care     []Care
+	bus      []BusUse
+}
+
+func newGenerator(sp *Space, cfg GenConfig) *generator {
+	nb := len(sp.order)
+	g := &generator{
+		sp:       sp,
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		ext:      make([][]posRange, nb),
+		extTotal: make([]int, nb),
+		perm:     make([]int, sp.busWidth),
+	}
+	widest := 0
+	for b := 0; b < nb; b++ {
+		g.ext[b], g.extTotal[b] = externalRanges(sp, b, cfg.ExternalLocality)
+		widest = max(widest, sp.starts[b+1]-sp.starts[b])
+	}
+	g.block = make([]Symbol, widest)
+	return g
+}
+
+// carve returns the next k elements of the chunked arena *a with their
+// capacity capped at k, starting a new chunk of max(chunk, k) elements
+// when the current one is exhausted.
+func carve[T any](a *[]T, k, chunk int) []T {
+	if cap(*a)-len(*a) < k {
+		*a = make([]T, 0, max(chunk, k))
+	}
+	n := len(*a)
+	*a = (*a)[:n+k]
+	return (*a)[n : n+k : n+k]
+}
+
+// next draws one pattern.
+func (g *generator) next() *Pattern {
+	sp, cfg, rng := g.sp, &g.cfg, g.rng
 	victim := int32(rng.Intn(sp.Total()))
-	victimCore := sp.CoreAt(victim)
-	start, n := sp.Range(victimCore)
+	vb := sp.blockAt(victim)
+	victimCore := int32(sp.order[vb])
+	start, n := sp.starts[vb], sp.starts[vb+1]-sp.starts[vb]
 
 	// External aggressors come from cores within cfg.ExternalLocality
 	// of the victim's core in layout order (a ring), or from all other
 	// cores when the locality is unlimited.
-	extRanges, extTotal := externalRanges(sp, victimCore, cfg.ExternalLocality)
+	extRanges, extTotal := g.ext[vb], g.extTotal[vb]
 
 	na := cfg.MinAggressors + rng.Intn(cfg.MaxAggressors-cfg.MinAggressors+1)
 	maxExt := cfg.MaxExternal
@@ -177,31 +254,27 @@ func genOne(sp *Space, cfg GenConfig, rng *rand.Rand) *Pattern {
 		// Victim core boundary too narrow: spill to external aggressors.
 		nInt = avail
 		nExt = na - nInt
-		if nExt > extTotal {
-			nExt = extTotal
-		}
 	}
+	// Fewer external positions than aggressors: take them all rather
+	// than redraw forever.
+	nExt = min(nExt, extTotal)
 
 	kind := maFaultKinds[rng.Intn(len(maFaultKinds))]
-	used := map[int32]struct{}{victim: {}}
-	care := make([]Care, 0, 1+nInt+nExt)
-	care = append(care, Care{Pos: victim, Sym: kind.victim})
-
-	pick := func(lo, span int) int32 {
+	block := g.block[:n]
+	block[int(victim)-start] = kind.victim
+	for j := 0; j < nInt; j++ {
 		for {
-			p := int32(lo + rng.Intn(span))
-			if _, dup := used[p]; !dup {
-				used[p] = struct{}{}
-				return p
+			off := rng.Intn(n)
+			if block[off] == X {
+				block[off] = kind.aggressor
+				break
 			}
 		}
 	}
-	for j := 0; j < nInt; j++ {
-		care = append(care, Care{Pos: pick(start, n), Sym: kind.aggressor})
-	}
+	exts := g.exts[:0]
 	for j := 0; j < nExt; j++ {
 		// Uniform over the allowed external positions.
-		for {
+		for added := false; !added; {
 			off := rng.Intn(extTotal)
 			var p int32
 			for _, r := range extRanges {
@@ -211,74 +284,104 @@ func genOne(sp *Space, cfg GenConfig, rng *rand.Rand) *Pattern {
 				}
 				off -= r.n
 			}
-			if _, dup := used[p]; !dup {
-				used[p] = struct{}{}
-				care = append(care, Care{Pos: p, Sym: kind.aggressor})
-				break
-			}
+			exts, added = insertSorted(exts, p)
 		}
 	}
+	g.exts = exts
+	nCare := 1 + nInt + nExt
 	// Quiesce the remaining outputs of the victim's core at steady
 	// random background values (see GenConfig.QuiesceProb).
 	if cfg.QuiesceProb > 0 {
-		for off := 0; off < n; off++ {
-			pos := int32(start + off)
-			if _, taken := used[pos]; taken {
+		for off, sym := range block {
+			if sym != X {
 				continue
 			}
 			if cfg.QuiesceProb < 1 && rng.Float64() >= cfg.QuiesceProb {
 				continue
 			}
-			sym := Zero
+			block[off] = Zero
 			if rng.Intn(2) == 1 {
-				sym = One
+				block[off] = One
 			}
-			care = append(care, Care{Pos: pos, Sym: sym})
+			nCare++
 		}
 	}
-	sort.Slice(care, func(a, b int) bool { return care[a].Pos < care[b].Pos })
 
-	p := &Pattern{
-		Care:       care,
-		VictimPos:  victim,
-		VictimCore: int32(victimCore),
-		Weight:     1,
+	// Emit in position order: externals below the block, the block
+	// (clearing the scratch), externals above it.
+	care := carve(&g.care, nCare, careChunk)
+	k, e := 0, 0
+	for ; e < len(exts) && int(exts[e]) < start; e++ {
+		care[k] = Care{Pos: exts[e], Sym: kind.aggressor}
+		k++
 	}
-	if sp.BusWidth() > 0 && rng.Float64() < cfg.BusProb {
-		nLines := 1 + rng.Intn(na)
-		if nLines > sp.BusWidth() {
-			nLines = sp.BusWidth()
+	for off, sym := range block {
+		if sym != X {
+			care[k] = Care{Pos: int32(start + off), Sym: sym}
+			k++
+			block[off] = X
 		}
-		lines := rng.Perm(sp.BusWidth())[:nLines]
-		sort.Ints(lines)
-		for _, l := range lines {
-			p.Bus = append(p.Bus, BusUse{Line: int32(l), Driver: int32(victimCore)})
+	}
+	for ; e < len(exts); e++ {
+		care[k] = Care{Pos: exts[e], Sym: kind.aggressor}
+		k++
+	}
+
+	p := &carve(&g.patterns, 1, min(cfg.N, patternChunk))[0]
+	*p = Pattern{Care: care, VictimPos: victim, VictimCore: victimCore, Weight: 1}
+	if sp.busWidth > 0 && rng.Float64() < cfg.BusProb {
+		nLines := min(1+rng.Intn(na), sp.busWidth)
+		// rand.Perm, inlined to reuse the scratch: same draws, same order.
+		perm := g.perm
+		for i := range perm {
+			j := rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
+		}
+		lines := perm[:nLines]
+		for i := 1; i < len(lines); i++ {
+			for j := i; j > 0 && lines[j] < lines[j-1]; j-- {
+				lines[j], lines[j-1] = lines[j-1], lines[j]
+			}
+		}
+		p.Bus = carve(&g.bus, nLines, busChunk)
+		for i, l := range lines {
+			p.Bus[i] = BusUse{Line: int32(l), Driver: victimCore}
 		}
 	}
 	return p
+}
+
+// insertSorted inserts p into the ascending list s, reporting false
+// (and leaving s unchanged) when p is already present.
+func insertSorted(s []int32, p int32) ([]int32, bool) {
+	i := len(s)
+	for i > 0 && s[i-1] > p {
+		i--
+	}
+	if i > 0 && s[i-1] == p {
+		return s, false
+	}
+	s = append(s, 0)
+	copy(s[i+1:], s[i:])
+	s[i] = p
+	return s, true
 }
 
 // posRange is one contiguous run of allowed external positions.
 type posRange struct{ start, n int }
 
 // externalRanges returns the WOC position ranges of the cores within
-// the given locality (in core order, as a ring) of the victim core,
-// excluding the victim core itself, together with the total position
-// count. A negative locality allows every other core.
-func externalRanges(sp *Space, victimCore, locality int) ([]posRange, int) {
-	order := sp.CoreOrder()
-	nc := len(order)
-	vIdx := 0
-	for i, id := range order {
-		if id == victimCore {
-			vIdx = i
-			break
-		}
-	}
+// the given locality (in core order, as a ring) of the victim block
+// (a position-order core index), excluding the victim core itself,
+// together with the total position count. A negative locality allows
+// every other core.
+func externalRanges(sp *Space, vIdx, locality int) ([]posRange, int) {
+	nc := len(sp.order)
 	var ranges []posRange
 	total := 0
 	add := func(idx int) {
-		start, n := sp.Range(order[idx])
+		start, n := sp.starts[idx], sp.starts[idx+1]-sp.starts[idx]
 		if n == 0 {
 			return
 		}
@@ -286,7 +389,7 @@ func externalRanges(sp *Space, victimCore, locality int) ([]posRange, int) {
 		total += n
 	}
 	if locality < 0 || 2*locality+1 >= nc {
-		for i := range order {
+		for i := 0; i < nc; i++ {
 			if i != vIdx {
 				add(i)
 			}

@@ -128,21 +128,6 @@ func (p *Pattern) SymbolAt(pos int32) Symbol {
 	return X
 }
 
-// CareCores returns the sorted set of core IDs that own at least one
-// determined position of the pattern — the pattern's care cores.
-func (p *Pattern) CareCores(sp *Space) []int {
-	seen := make(map[int]struct{}, 4)
-	for _, c := range p.Care {
-		seen[sp.CoreAt(c.Pos)] = struct{}{}
-	}
-	out := make([]int, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Validate checks internal invariants: sorted unique care positions
 // within the space, no X symbols stored, sorted unique bus lines within
 // the bus width.
@@ -270,11 +255,46 @@ func (sp *Space) CoreAt(pos int32) int {
 // untrusted positions (pattern files, caller-built patterns); CoreAt is
 // the panicking variant for positions the space itself produced.
 func (sp *Space) CoreAtPos(pos int32) (int, error) {
-	i := sort.Search(len(sp.starts), func(i int) bool { return sp.starts[i] > int(pos) })
-	if i == 0 || int(pos) >= sp.Total() || pos < 0 {
+	if pos < 0 || int(pos) >= sp.Total() {
 		return 0, fmt.Errorf("sifault: position %d outside space of %d WOCs", pos, sp.Total())
 	}
-	return sp.order[i-1], nil
+	return sp.order[sp.blockAt(pos)], nil
+}
+
+// blockAt returns the position-order index of the core owning pos,
+// which must lie inside the space.
+func (sp *Space) blockAt(pos int32) int {
+	// Largest lo with starts[lo] <= pos; zero-width cores share their
+	// start with the next core and are skipped.
+	lo, hi := 0, len(sp.order)
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if sp.starts[mid] <= int(pos) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// AppendCareBlocks appends to dst the position-order indices of the
+// cores owning at least one care position of p — the pattern's care
+// cores as indices into CoreOrder — and returns the extended slice.
+// Care is sorted by position and cores are numbered in position order,
+// so one walk yields the indices ascending and without duplicates. p
+// must be valid for sp.
+func (sp *Space) AppendCareBlocks(dst []int, p *Pattern) []int {
+	end := -1 // first position past the last appended core
+	for _, c := range p.Care {
+		if int(c.Pos) < end {
+			continue
+		}
+		b := sp.blockAt(c.Pos)
+		dst = append(dst, b)
+		end = sp.starts[b+1]
+	}
+	return dst
 }
 
 // WOCOf returns the WOC count of a core in the space.

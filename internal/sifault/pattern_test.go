@@ -125,12 +125,23 @@ func TestPatternSymbolAtAndCareCores(t *testing.T) {
 	if got := p.SymbolAt(2); got != X {
 		t.Errorf("SymbolAt(2) = %v, want x", got)
 	}
-	cc := p.CareCores(sp)
-	if len(cc) != 2 || cc[0] != 1 || cc[1] != 2 {
-		t.Errorf("CareCores = %v, want [1 2]", cc)
+	cc := sp.AppendCareBlocks(nil, p)
+	if len(cc) != 2 || sp.CoreOrder()[cc[0]] != 1 || sp.CoreOrder()[cc[1]] != 2 {
+		t.Errorf("AppendCareBlocks = %v, want the blocks of cores [1 2]", cc)
 	}
 	if err := p.Validate(sp); err != nil {
 		t.Errorf("Validate: %v", err)
+	}
+
+	// Zero-width cores own no position, so the walk never names them;
+	// it appends after what dst already holds.
+	sp = NewSpace(&soc.SOC{CoreList: []*soc.Core{
+		{ID: 7, Outputs: 2}, {ID: 8}, {ID: 9, Outputs: 3}, {ID: 3}, {ID: 4, Outputs: 1},
+	}})
+	p = &Pattern{Care: []Care{{Pos: 1, Sym: One}, {Pos: 2, Sym: Zero}, {Pos: 4, Sym: Zero}, {Pos: 5, Sym: Rise}}, Weight: 1}
+	cc = sp.AppendCareBlocks([]int{-1}, p)
+	if len(cc) != 4 || cc[0] != -1 || cc[1] != 0 || cc[2] != 2 || cc[3] != 4 {
+		t.Errorf("AppendCareBlocks = %v, want [-1 0 2 4]", cc)
 	}
 }
 
@@ -381,9 +392,10 @@ func TestExternalRangesProperty(t *testing.T) {
 	sp := NewSpace(s)
 	f := func(coreIdx uint8, locality uint8) bool {
 		order := sp.CoreOrder()
-		victim := order[int(coreIdx)%len(order)]
+		vIdx := int(coreIdx) % len(order)
+		victim := order[vIdx]
 		loc := 1 + int(locality%5)
-		ranges, total := externalRanges(sp, victim, loc)
+		ranges, total := externalRanges(sp, vIdx, loc)
 		sum := 0
 		vStart, vN := sp.Range(victim)
 		for _, r := range ranges {
