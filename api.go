@@ -41,7 +41,8 @@
 // registry through ParallelConfig: set Trace to a collector from
 // NewTracer to record typed events (phase spans, candidate
 // evaluations, merge decisions, ILS kicks, SI group placements,
-// interruptions) and Metrics to a registry from NewMetricsRegistry to
+// interruptions; the same events at any worker count, up to their
+// dur_ns field) and Metrics to a registry from NewMetricsRegistry to
 // collect atomic counters and phase-duration histograms. Both default
 // to nil and then cost nothing measurable. Engine-assembled Results
 // always carry a Metrics snapshot with at least the "evals" counter.
@@ -266,8 +267,10 @@ type (
 	Breakdown = core.Breakdown
 	// ParallelConfig bundles the concurrency, memoization, budget and
 	// observability knobs of Optimize: Workers bounds concurrent
-	// candidate evaluations (0 = GOMAXPROCS, 1 = serial) and CacheSize
-	// caps the evaluation cache (0 = default, negative = disabled).
+	// candidate evaluations (0 = GOMAXPROCS, 1 = on the calling
+	// goroutine; the result and the trace are the same at any count)
+	// and CacheSize caps the evaluation cache (0 = default, negative =
+	// disabled).
 	ParallelConfig = core.ParallelConfig
 	// Algo selects the optimizer Optimize runs: Kind is AlgoSI (the
 	// zero value ""), AlgoBaseline or AlgoILS, and Kicks, Restarts and
@@ -378,9 +381,10 @@ func ValidateTrace(events []TraceEvent) (err error) {
 // cfg sets parallel candidate evaluation, the memoized evaluation
 // cache, the evaluation budget and observability. The independent
 // candidates of each optimization step fan out across a
-// cfg.Workers-sized pool; selection is deterministic, so the returned
-// architecture is byte-identical to a serial run's at any worker count.
-// Result.Cache carries the cache counters of the run.
+// cfg.Workers-sized pool on one code path at every worker count;
+// selection is deterministic, so the returned architecture and the
+// cfg.Trace events (up to their dur_ns field) are the same at any
+// worker count. Result.Cache carries the cache counters of the run.
 //
 // Optimize is an anytime algorithm: on cancellation or deadline expiry
 // mid-search the best architecture found so far is evaluated and

@@ -51,7 +51,7 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:8037", "listen address (host:port; port 0 picks a free port)")
 		workers     = flag.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", serve.DefaultQueueDepth, "admission queue depth; submits beyond it are shed with 503")
-		jobWorkers  = flag.Int("job-workers", 1, "max candidate-evaluation workers one job may claim")
+		jobWorkers  = flag.Int("job-workers", 1, "max candidate-evaluation workers one job may claim; a job's result and trace are the same at any count")
 		defTimeout  = flag.Duration("default-timeout", serve.DefaultJobDeadline, "per-job deadline when the request has none")
 		maxTimeout  = flag.Duration("max-timeout", serve.DefaultMaxDeadline, "clamp on client-supplied per-job deadlines")
 		budgetCap   = flag.Int64("budget-cap", 0, "clamp on client-supplied eval budgets (0 = unlimited)")

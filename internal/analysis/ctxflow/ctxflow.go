@@ -84,8 +84,8 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	hasCtx := hasContextParam(pass, fd)
 
 	// Local closures whose bodies mention a context value: calling one
-	// inside a loop counts as consulting the context (the restart
-	// fan-out pattern: `run := func(i int) { ...optimizeILS(ctx...)... }`).
+	// inside a loop counts as consulting the context (the fan-out
+	// pattern: `run := func(i int) { ...search(ctx...)... }`).
 	ctxClosures := contextClosures(pass, fd)
 	// Recursive local closures: calling one inside a loop is unbounded
 	// enumeration (the `var enumerate func(...)` pattern).

@@ -1,10 +1,13 @@
 // Package detmerge guards the repeatability pillar on the parallel
-// reduction paths (DESIGN §15): everything reachable from the parallel
-// evaluator's candidate map must combine results in deterministic index order, because two runs
+// reduction paths (DESIGN §15): everything reachable from a merge root
+// must combine results in deterministic index order, because two runs
 // of the same optimization must produce byte-identical architectures.
 //
-// The analyzer walks the in-package call graph from the Roots entry
-// points and flags, inside every reachable function:
+// A merge root is a function whose doc comment carries a
+// //sitlint:detmerge-root line — in this module the engine's candidate
+// map, the ILS restart reduction and the grouping's bucket merge. The
+// analyzer walks the in-package call graph from the roots and flags,
+// inside every reachable function:
 //
 //   - ranging over a map, unless the function also sorts (a
 //     collect-then-sort.Ints walk is the sanctioned idiom);
@@ -19,13 +22,10 @@
 //
 // The MapOrder fact is exported for every function in every analyzed
 // package, so the check crosses package boundaries without whole-
-// program analysis. Additional roots can be declared in source with a
-// //sitlint:detmerge-root comment on the line above the function
-// declaration. Per-site exemptions use //sitlint:allow detmerge.
+// program analysis. Per-site exemptions use //sitlint:allow detmerge.
 package detmerge
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
@@ -33,14 +33,7 @@ import (
 	"sitam/internal/analysis"
 )
 
-// Roots lists the merge-path entry points as "pkgpath.key" (key is
-// Name or Type.Name for methods). Mutable for the analysistest
-// fixtures.
-var Roots = map[string]bool{
-	"sitam/internal/core.ParallelEvaluator.mapCandidates": true,
-}
-
-// rootMarker promotes a function to a root from source.
+// rootMarker declares a merge root in a function's doc comment.
 const rootMarker = "//sitlint:detmerge-root"
 
 // MapOrder is the object fact exported for functions whose body ranges
@@ -68,7 +61,6 @@ func run(pass *analysis.Pass) error {
 	var nodes []*funcNode
 	byKey := map[string]*funcNode{}
 	var roots []*funcNode
-	markers := markerLines(pass)
 	for _, f := range pass.Files {
 		if pass.InTestFile(f.Pos()) {
 			continue
@@ -88,8 +80,7 @@ func run(pass *analysis.Pass) error {
 			if hasUnsortedMapRange(pass, fd.Body) {
 				pass.ExportObjectFact(obj, &MapOrder{})
 			}
-			pos := pass.Fset.Position(fd.Pos())
-			if Roots[pass.Pkg.Path()+"."+n.key] || markers[posKey(pos.Filename, pos.Line)] {
+			if isRoot(fd) {
 				roots = append(roots, n)
 			}
 		}
@@ -138,7 +129,7 @@ func checkReachable(pass *analysis.Pass, n *funcNode) {
 		switch v := nd.(type) {
 		case *ast.RangeStmt:
 			if isMapType(pass.TypesInfo.TypeOf(v.X)) && !sorted {
-				pass.Reportf(v.Pos(), "map iteration on the deterministic merge path: collect keys and sort, or index by position (reachable from %s)", rootsLabel())
+				pass.Reportf(v.Pos(), "map iteration on the deterministic merge path: collect keys and sort, or index by position (reachable from a detmerge-root function)")
 			}
 		case *ast.SelectStmt:
 			if receiveCases(v) >= 2 {
@@ -224,25 +215,34 @@ func isMapType(t types.Type) bool {
 	return ok
 }
 
-// markerLines collects the lines holding //sitlint:detmerge-root
-// comments; a function declared on the following line is a root.
-func markerLines(pass *analysis.Pass) map[string]bool {
-	lines := map[string]bool{}
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.HasPrefix(c.Text, rootMarker) {
-					pos := pass.Fset.Position(c.Pos())
-					lines[posKey(pos.Filename, pos.Line+1)] = true
+// isRoot reports whether fd's doc comment declares it a merge root.
+func isRoot(fd *ast.FuncDecl) bool {
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if strings.HasPrefix(c.Text, rootMarker) {
+			return true
+		}
+	}
+	return false
+}
+
+// Roots returns the keys (Name, or Type.Name for methods) of pkg's
+// merge roots outside test files, in declaration order.
+func Roots(pkg *analysis.Package) []string {
+	var out []string
+	for _, f := range pkg.Files {
+		if strings.HasSuffix(pkg.Fset.File(f.Pos()).Name(), "_test.go") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && isRoot(fd) {
+				if obj, _ := pkg.TypesInfo.Defs[fd.Name].(*types.Func); obj != nil {
+					out = append(out, analysis.ObjectKey(obj))
 				}
 			}
 		}
 	}
-	return lines
+	return out
 }
-
-func posKey(file string, line int) string {
-	return fmt.Sprintf("%s:%d", file, line)
-}
-
-func rootsLabel() string { return "ParallelEvaluator.mapCandidates or a detmerge-root marked function" }

@@ -9,7 +9,7 @@ import "sitam/internal/obs"
 // event vocabulary.
 const rogue obs.Type = "rogue_event"
 
-var template = obs.Event{Type: obs.CacheHit}
+var template = obs.Event{Type: obs.CacheLoad}
 
 var badTemplate = obs.Event{Phase: "x"} // want `obs\.Event literal without a Type field`
 

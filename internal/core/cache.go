@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sitam/internal/obs"
 	"sitam/internal/tam"
 )
 
@@ -99,12 +98,6 @@ type CachedEvaluator struct {
 	// failures drop the file silently: persistence is best-effort, the
 	// in-memory cache stays authoritative.
 	persist *CacheFile
-
-	// sink receives per-lookup cache_hit/cache_miss events. Set only
-	// for single-worker runs (NewParallelEngine): under concurrency
-	// the hit/miss split is timing-dependent, which would break trace
-	// determinism — the totals are always on the metrics snapshot.
-	sink obs.Sink
 }
 
 // NewCachedEvaluator wraps inner with a memoization cache holding at
@@ -125,12 +118,10 @@ func NewCachedEvaluator(inner Evaluator, capacity int) *CachedEvaluator {
 
 // AttachPersistent seeds the cache from cf's on-disk entries and wires
 // every future miss-store through to the file. Seeded entries count as
-// Loads, never as Hits (see CacheStats.Loads); a single cache_load
-// event with the seeded count goes to the trace sink when one is
-// attached — one deterministic event, so single-worker trace
-// determinism is unaffected. Seeding stops at capacity. Call before
-// the first Evaluate; the method is not safe concurrently with
-// lookups.
+// Loads, never as Hits (see CacheStats.Loads); NewParallelEngine
+// traces the seeded count as one cache_load event. Seeding stops at
+// capacity. Call before the first Evaluate; the method is not safe
+// concurrently with lookups.
 func (c *CachedEvaluator) AttachPersistent(cf *CacheFile) {
 	if cf == nil {
 		return
@@ -149,9 +140,6 @@ func (c *CachedEvaluator) AttachPersistent(cf *CacheFile) {
 	cf.mu.Unlock()
 	c.persist = cf
 	c.loads.Add(int64(n))
-	if c.sink != nil {
-		c.sink.Emit(obs.Event{Type: obs.CacheLoad, N: int64(n)})
-	}
 }
 
 // restore replays the cached per-rail TimeSI bookkeeping onto a. It
@@ -218,15 +206,9 @@ func (c *CachedEvaluator) Evaluate(a *tam.Architecture) (int64, error) {
 	c.mu.Unlock()
 	if ok && ent.restore(a) {
 		c.hits.Add(1)
-		if c.sink != nil {
-			c.sink.Emit(obs.Event{Type: obs.CacheHit})
-		}
 		return ent.obj, nil
 	}
 	c.misses.Add(1)
-	if c.sink != nil {
-		c.sink.Emit(obs.Event{Type: obs.CacheMiss})
-	}
 	obj, err := c.Inner.Evaluate(a)
 	if err != nil {
 		return 0, err

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -269,20 +270,25 @@ func TestParallelCancellationNoLeak(t *testing.T) {
 
 // TestParallelForPanicPropagation: a panic in any candidate must
 // surface on the calling goroutine — and the lowest candidate index
-// wins, matching the serial panic surface.
+// wins, matching the serial panic surface — whether the batch runs on
+// the inline path (k=1) or on the pool.
 func TestParallelForPanicPropagation(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("panic did not propagate")
-		}
-		if r != "boom-3" {
-			t.Fatalf("propagated %v, want the lowest-index panic boom-3", r)
-		}
-	}()
-	parallelFor(4, 16, func(_, i int) {
-		if i >= 3 && i%2 == 1 {
-			panic("boom-" + string(rune('0'+i%10)))
-		}
-	})
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("panic did not propagate")
+				}
+				if r != "boom-3" {
+					t.Fatalf("propagated %v, want the lowest-index panic boom-3", r)
+				}
+			}()
+			parallelFor(k, 16, func(_, i int) {
+				if i >= 3 && i%2 == 1 {
+					panic("boom-" + string(rune('0'+i%10)))
+				}
+			})
+		})
+	}
 }

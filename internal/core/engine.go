@@ -22,18 +22,11 @@ type Engine struct {
 	Times *wrapper.TimeTable
 	Eval  Evaluator
 
-	// Par fans independent candidate evaluations across a bounded
-	// worker pool. nil (the NewEngine default) evaluates serially;
-	// either way the selected architectures are byte-identical — see
-	// parallel.go. When Par is used with a concurrency-unsafe
-	// Evaluator, wrap the evaluator or keep Workers at 1.
-	Par *ParallelEvaluator
-
 	// Trace receives the structured search-trace events of the run
 	// (see internal/obs). nil — the default — disables tracing at the
 	// cost of one branch per emission site. Candidate events are
 	// emitted by the coordinating goroutine in candidate order, so the
-	// trace is deterministic for a fixed seed at any worker count.
+	// trace is the same for a fixed seed at any worker count.
 	Trace obs.Sink
 
 	// Metrics receives the run's counters and phase-duration
@@ -48,10 +41,18 @@ type Engine struct {
 	MaxEvals int64
 
 	// evals counts objective evaluations. A pointer so that the
-	// shallow engine copies the ILS restart fan-out makes share one
-	// total (each restart still counts into its own — see
-	// OptimizeILSRestartsCtx).
+	// shallow copies serial makes share one total (each ILS restart
+	// still counts into its own — see OptimizeILSRestartsCtx).
 	evals *atomic.Int64
+
+	// workers is the resolved size of the candidate pool: 1 from
+	// NewEngine, ParallelConfig.Workers from NewParallelEngine. The
+	// selected architectures are the same at any size (parallel.go);
+	// a concurrency-unsafe Evaluator needs 1.
+	workers int
+
+	// pool holds the pool counters; zero without a metrics registry.
+	pool poolMetrics
 }
 
 // Phase names used by Status.Reason, the search trace and the
@@ -95,7 +96,18 @@ func NewEngine(s *soc.SOC, wmax int, eval Evaluator) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{SOC: s, Wmax: wmax, Times: tt, Eval: eval, evals: new(atomic.Int64)}, nil
+	return &Engine{SOC: s, Wmax: wmax, Times: tt, Eval: eval, evals: new(atomic.Int64), workers: 1}, nil
+}
+
+// serial returns a copy of e for a search that already runs inside a
+// pool worker: a merge candidate's free-wire distribution or one ILS
+// restart. The copy scores its batches on the calling goroutine, so
+// total concurrency stays bounded by e's workers; it records no pool
+// metrics, traces to sink and shares e's evaluation counter.
+func (e *Engine) serial(sink obs.Sink) *Engine {
+	c := *e
+	c.workers, c.pool, c.Trace = 1, poolMetrics{}, sink
+	return &c
 }
 
 // eval scores one candidate, counting the evaluation and enforcing the
@@ -316,7 +328,7 @@ func (e *Engine) startSolution(ctx context.Context) (*tam.Architecture, int64, e
 			// the objective. Start-solution rails all have width 1 and
 			// stay width 1.
 			victim := e.Wmax
-			res, err := e.Par.mapCandidates(ctx, a, e.Wmax, func(cand *tam.Architecture, i int) (int64, int64, error) {
+			res, err := e.mapCandidates(ctx, a, e.Wmax, func(cand *tam.Architecture, i int) (int64, int64, error) {
 				cand.MergeRails(i, victim, 1)
 				o, err := e.eval(cand)
 				return o, 0, err
@@ -340,7 +352,7 @@ func (e *Engine) startSolution(ctx context.Context) (*tam.Architecture, int64, e
 			}
 		}
 	} else if free := e.Wmax - len(a.Rails); free > 0 {
-		if obj, err = e.distributeFreeWires(ctx, a, free, e.Par, e.Trace); err != nil {
+		if obj, err = e.distributeFreeWires(ctx, a, free); err != nil {
 			if isStop(err) {
 				// a is feasible with some wires undistributed.
 				return a, 0, err
@@ -359,11 +371,10 @@ func (e *Engine) startSolution(ctx context.Context) (*tam.Architecture, int64, e
 // architecture. Context interruption is checked between wires, so a
 // is always left in a consistent (if under-widened) state.
 //
-// The widening trials of one wire are independent and fan out on pe;
-// callers already running inside a worker (the per-candidate calls in
-// mergeTAMs) pass nil to stay serial and keep the pool bounded, and
-// pass a nil sink so only the coordinator-level call traces.
-func (e *Engine) distributeFreeWires(ctx context.Context, a *tam.Architecture, free int, pe *ParallelEvaluator, sink obs.Sink) (int64, error) {
+// The widening trials of one wire are independent and fan out on the
+// engine's workers; the per-candidate calls in mergeTAMs run on a
+// serial, untraced copy (Engine.serial).
+func (e *Engine) distributeFreeWires(ctx context.Context, a *tam.Architecture, free int) (int64, error) {
 	for ; free > 0; free-- {
 		if err := ctx.Err(); err != nil {
 			return 0, err
@@ -377,7 +388,7 @@ func (e *Engine) distributeFreeWires(ctx context.Context, a *tam.Architecture, f
 		if len(widen) == 0 {
 			break // every rail already at Wmax
 		}
-		res, err := pe.mapCandidates(ctx, a, len(widen), func(cand *tam.Architecture, i int) (int64, int64, error) {
+		res, err := e.mapCandidates(ctx, a, len(widen), func(cand *tam.Architecture, i int) (int64, int64, error) {
 			r := cand.Rails[widen[i]]
 			cand.SetWidth(widen[i], r.Width+1)
 			o, err := e.eval(cand)
@@ -389,11 +400,7 @@ func (e *Engine) distributeFreeWires(ctx context.Context, a *tam.Architecture, f
 		if err != nil {
 			return 0, err
 		}
-		if sink != nil {
-			for i := range res {
-				sink.Emit(obs.Event{Type: obs.CandidateEvaluated, Phase: phaseStartSol, Cand: i, Obj: res[i].obj})
-			}
-		}
+		e.emitCandidates(phaseStartSol, res)
 		best := -1
 		var bestObj, bestUsed int64
 		for i, r := range res {
@@ -435,6 +442,7 @@ func (e *Engine) mergeTAMs(ctx context.Context, a *tam.Architecture, curObj int6
 			specs = append(specs, mergeSpec{ri, w})
 		}
 	}
+	nested := e.serial(nil)
 	build := func(cand *tam.Architecture, i int) (int64, int64, error) {
 		sp := specs[i]
 		wi := cand.Rails[sp.ri].Width
@@ -446,14 +454,14 @@ func (e *Engine) mergeTAMs(ctx context.Context, a *tam.Architecture, curObj int6
 		}
 		cand.MergeRails(dst, src, sp.w)
 		if leftover := w1 + wi - sp.w; leftover > 0 {
-			if _, err := e.distributeFreeWires(ctx, cand, leftover, nil, nil); err != nil {
+			if _, err := nested.distributeFreeWires(ctx, cand, leftover); err != nil {
 				return 0, 0, err
 			}
 		}
 		o, err := e.eval(cand)
 		return o, 0, err
 	}
-	res, err := e.Par.mapCandidates(ctx, a, len(specs), build)
+	res, err := e.mapCandidates(ctx, a, len(specs), build)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -513,7 +521,7 @@ func (e *Engine) coreReshuffle(ctx context.Context, a *tam.Architecture, curObj 
 			o, err := e.eval(cand)
 			return o, 0, err
 		}
-		res, err := e.Par.mapCandidates(ctx, a, len(specs), build)
+		res, err := e.mapCandidates(ctx, a, len(specs), build)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -83,11 +83,11 @@ func (e *Engine) optimizeILS(ctx context.Context, kicks int, seed int64) (*tam.A
 
 // OptimizeILSRestartsCtx runs `restarts` independent ILS searches with
 // seeds seed, seed+1, ..., seed+restarts-1 and returns the best
-// architecture found. Restarts are mutually independent, so with a
-// parallel evaluator they fan out across the worker pool (each restart
-// then evaluates serially inside, keeping total concurrency bounded);
-// the reduction picks the smallest objective, ties broken by the
-// lowest seed, so the outcome is byte-identical at any worker count.
+// architecture found. Restarts are mutually independent, so they fan
+// out across the engine's workers (each restart then evaluates
+// serially inside, keeping total concurrency bounded); the reduction
+// picks the smallest objective, ties broken by the lowest seed, so the
+// outcome is byte-identical at any worker count.
 //
 // It is an anytime algorithm: on cancellation or deadline expiry the
 // best architecture any restart produced so far is returned with
@@ -99,6 +99,9 @@ func (e *Engine) optimizeILS(ctx context.Context, kicks int, seed int64) (*tam.A
 // evaluations into its own counter (folded into the engine total), so
 // the trace and the per-phase counts are deterministic at any worker
 // count. MaxEvals bounds each restart independently.
+//
+//sitlint:detmerge-root
+//sitlint:allow ctxflow — ctx reaches every restart through the parallelFor closure; the loops here are the reduction
 func (e *Engine) OptimizeILSRestartsCtx(ctx context.Context, kicks, restarts int, seed int64) (*tam.Architecture, int64, Status, error) {
 	if restarts < 1 {
 		return nil, 0, Status{}, fmt.Errorf("core: restart count %d < 1", restarts)
@@ -121,31 +124,20 @@ func (e *Engine) OptimizeILSRestartsCtx(ctx context.Context, kicks, restarts int
 		}
 	}
 	counters := make([]*atomic.Int64, restarts)
-	run := func(i int) {
-		// Each restart searches serially: concurrency lives at the
-		// restart level, so the pool stays bounded by Par.Workers.
-		inner := *e
-		inner.Par = nil
+	parallelFor(e.workers, restarts, func(_, i int) {
+		var sink obs.Sink
+		if locals != nil {
+			sink = locals[i]
+		}
+		inner := e.serial(sink)
 		inner.evals = new(atomic.Int64)
 		counters[i] = inner.evals
-		if locals != nil {
-			inner.Trace = locals[i]
-		}
 		r := &res[i]
 		r.a, r.obj, r.st, r.err = inner.optimizeILS(ctx, kicks, seed+int64(i))
-	}
-	if k := e.Par.workers(); k > 1 {
-		parallelFor(k, restarts, func(_, i int) { run(i) })
-	} else {
-		for i := 0; i < restarts; i++ {
-			run(i)
-		}
-	}
+	})
 	if e.evals != nil {
 		for _, c := range counters {
-			if c != nil {
-				e.evals.Add(c.Load())
-			}
+			e.evals.Add(c.Load())
 		}
 	}
 	if locals != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"sitam/internal/obs"
 	"sitam/internal/sischedule"
 	"sitam/internal/tam"
 )
@@ -18,15 +17,13 @@ import (
 // count.
 //
 // The evaluator is safe for concurrent use (the planner memo is
-// shared). The optional sink receives one eval_incremental event per
-// evaluation; the engine wires it only for single-worker runs, where
-// the event order is deterministic.
+// shared). Its recompute accounting lands on Result.Metrics as the
+// eval_* counters.
 type IncrementalSIEvaluator struct {
 	Groups []*sischedule.Group
 	Model  sischedule.Model
 
 	planner *sischedule.Planner
-	sink    obs.Sink
 
 	evals            atomic.Int64
 	dirtyRails       atomic.Int64
@@ -62,14 +59,6 @@ func (e *IncrementalSIEvaluator) Evaluate(a *tam.Architecture) (int64, error) {
 	e.railsMemoized.Add(int64(st.RailsMemoized))
 	e.groupsRecomputed.Add(int64(st.GroupsRecomputed))
 	e.groupsMemoized.Add(int64(st.GroupsMemoized))
-	if e.sink != nil {
-		e.sink.Emit(obs.Event{
-			Type:       obs.EvalIncremental,
-			N:          int64(dirty),
-			Recomputed: st.GroupsRecomputed,
-			Memoized:   st.GroupsMemoized,
-		})
-	}
 	return a.InTestTime() + si, nil
 }
 

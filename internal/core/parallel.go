@@ -17,43 +17,33 @@ import (
 // merge candidates of mergeTAMs, the per-rail trials of
 // distributeFreeWires, the move candidates of coreReshuffle and
 // independent ILS restarts are all mutually independent, so they fan
-// out across a bounded worker pool. Selection stays byte-identical to
-// a serial run: every batch is enumerated in the serial iteration
+// out across a bounded worker pool. There is one code path at every
+// worker count: parallelFor runs a batch on the calling goroutine when
+// the engine has one worker, and on a pool otherwise. Selection is the
+// same either way: every batch is enumerated in the serial iteration
 // order, all candidates are scored, and the reduction walks the
-// results in that order applying the serial comparison — so the winner
-// (and every tie-break) is the one the serial loop would have picked.
+// results in that order applying the serial comparison, so the winner
+// (and every tie-break) is the one a plain loop would have picked.
 
-// ParallelEvaluator fans independent candidate evaluations across a
-// bounded worker pool. The zero value and a nil pointer both evaluate
-// serially on the calling goroutine.
-type ParallelEvaluator struct {
-	// Workers bounds the number of concurrent candidate evaluations:
-	// 0 means runtime.GOMAXPROCS(0), 1 evaluates serially, larger
-	// values cap the pool explicitly.
-	Workers int
-
-	// Pool counters, nil unless a metrics registry was attached (see
-	// NewParallelEngine). busyNS sums per-candidate evaluation time
-	// across workers and wallNS the batches' elapsed time, so
-	// busy/(wall*workers) is the pool utilization. Timestamps are
-	// taken only when timed is set.
-	batches, candidates *obs.Counter
-	busyNS, wallNS      *obs.Counter
-	timed               bool
-}
-
-// workers resolves the effective pool size.
-func (p *ParallelEvaluator) workers() int {
-	if p == nil {
-		return 1
-	}
-	if p.Workers > 0 {
-		return p.Workers
-	}
-	if p.Workers == 0 {
+// resolveWorkers maps ParallelConfig.Workers to a pool size: 0 means
+// runtime.GOMAXPROCS(0) and negative values mean 1.
+func resolveWorkers(w int) int {
+	switch {
+	case w > 0:
+		return w
+	case w == 0:
 		return runtime.GOMAXPROCS(0)
 	}
 	return 1
+}
+
+// poolMetrics are the candidate pool's counters, set by
+// NewParallelEngine when a metrics registry is attached. busyNS sums
+// per-candidate evaluation time across workers and wallNS the batches'
+// elapsed time, so busy/(wall·workers) says how busy the workers were.
+// It is not a speedup: DESIGN §6 has the measured numbers.
+type poolMetrics struct {
+	batches, candidates, busyNS, wallNS *obs.Counter
 }
 
 // candResult is one candidate's score: the objective, an auxiliary
@@ -65,15 +55,23 @@ type candResult struct {
 	err error
 }
 
-// parallelFor runs fn(i) for i in [0, n) on k goroutines fed by a
-// shared counter. fn receives the worker index so callers can keep
-// per-worker scratch state. Panics inside fn are captured and the one
-// with the lowest candidate index is re-raised on the caller's
-// goroutine after all workers drain, so the engine's panic surface is
-// the same as in a serial run and the facade guard still applies.
+// parallelFor runs fn(i) for i in [0, n) on up to k goroutines fed by
+// a shared counter. fn receives the worker index so callers can keep
+// per-worker scratch state. With k ≤ 1 or n ≤ 1 it is a plain loop on
+// the calling goroutine. Otherwise panics inside fn are captured and
+// the one with the lowest index, which is the one the plain loop would
+// raise, is re-raised on the caller's goroutine after all workers
+// drain, so the engine's panic surface is the same at any worker count
+// and the facade guard still applies.
 func parallelFor(k, n int, fn func(worker, i int)) {
 	if k > n {
 		k = n
+	}
+	if k <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
 	}
 	panics := make([]any, n)
 	var next atomic.Int64
@@ -106,85 +104,71 @@ func parallelFor(k, n int, fn func(worker, i int)) {
 	}
 }
 
-// mapCandidates scores n candidate architectures derived from base.
-// job receives a scratch architecture already reset to a copy of base
-// plus the candidate index; it must mutate only the scratch (each
-// worker owns one scratch, reused across its candidates). The context
-// is checked before every candidate, serial or parallel.
+// mapCandidates scores n candidate architectures derived from base on
+// the engine's workers. job receives a scratch architecture already
+// reset to a copy of base plus the candidate index; it must mutate
+// only the scratch (each worker owns one scratch, reused across its
+// candidates). The context is checked before every candidate.
 //
 // The returned slice is index-aligned with the candidates. On error
-// the result is nil and the error is the one the serial loop would
-// have surfaced first: results are scanned in candidate order and the
-// lowest-index error wins, so error propagation is deterministic for
-// deterministic evaluators.
-func (p *ParallelEvaluator) mapCandidates(ctx context.Context, base *tam.Architecture, n int, job func(cand *tam.Architecture, i int) (int64, int64, error)) ([]candResult, error) {
+// the result is nil and the error is the lowest-index one, which is
+// the error a plain loop would have surfaced first. Candidates beyond
+// the lowest failure so far are skipped, so with one worker the batch
+// stops at its first error exactly like that loop.
+//
+//sitlint:detmerge-root
+func (e *Engine) mapCandidates(ctx context.Context, base *tam.Architecture, n int, job func(cand *tam.Architecture, i int) (int64, int64, error)) ([]candResult, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	timed := p != nil && p.timed
+	timed := e.pool.batches != nil
 	var wallStart time.Time
 	if timed {
 		wallStart = time.Now() //sitlint:allow detrand — wall/busy profiling metrics only, never the objective
 	}
-	k := p.workers()
-	if k <= 1 || n == 1 {
-		scratch := &tam.Architecture{}
-		res := make([]candResult, n)
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			scratch.CopyFrom(base)
-			obj, aux, err := job(scratch, i)
-			if err != nil {
-				return nil, err
-			}
-			res[i] = candResult{obj: obj, aux: aux}
-		}
-		if timed {
-			wall := int64(time.Since(wallStart))
-			p.busyNS.Add(wall) // one goroutine: busy time is wall time
-			p.wallNS.Add(wall)
-			p.batches.Inc()
-			p.candidates.Add(int64(n))
-		}
-		return res, nil
-	}
+	k := max(1, min(e.workers, n))
 	res := make([]candResult, n)
 	scratches := make([]*tam.Architecture, k)
 	busy := make([]int64, k)
+	var failed atomic.Int64 // lowest failing candidate index, n while none failed
+	failed.Store(int64(n))
 	parallelFor(k, n, func(worker, i int) {
-		if err := ctx.Err(); err != nil {
-			res[i].err = err
+		if int64(i) > failed.Load() {
 			return
 		}
-		scratch := scratches[worker]
-		if scratch == nil {
-			scratch = &tam.Architecture{}
-			scratches[worker] = scratch
+		err := ctx.Err()
+		if err == nil {
+			scratch := scratches[worker]
+			if scratch == nil {
+				scratch = &tam.Architecture{}
+				scratches[worker] = scratch
+			}
+			scratch.CopyFrom(base)
+			var t0 time.Time
+			if timed {
+				t0 = time.Now() //sitlint:allow detrand — per-candidate busy-time profiling only, never the objective
+			}
+			res[i].obj, res[i].aux, err = job(scratch, i)
+			if timed {
+				busy[worker] += int64(time.Since(t0))
+			}
 		}
-		scratch.CopyFrom(base)
-		var t0 time.Time
-		if timed {
-			t0 = time.Now() //sitlint:allow detrand — per-candidate busy-time profiling only, never the objective
-		}
-		res[i].obj, res[i].aux, res[i].err = job(scratch, i)
-		if timed {
-			busy[worker] += int64(time.Since(t0))
+		if err != nil {
+			res[i].err = err
+			for f := failed.Load(); int64(i) < f && !failed.CompareAndSwap(f, int64(i)); f = failed.Load() {
+			}
 		}
 	})
 	if timed {
 		for _, b := range busy {
-			p.busyNS.Add(b)
+			e.pool.busyNS.Add(b)
 		}
-		p.wallNS.Add(int64(time.Since(wallStart)))
-		p.batches.Inc()
-		p.candidates.Add(int64(n))
+		e.pool.wallNS.Add(int64(time.Since(wallStart)))
+		e.pool.batches.Inc()
+		e.pool.candidates.Add(int64(n))
 	}
-	for i := range res {
-		if res[i].err != nil {
-			return nil, res[i].err
-		}
+	if f := failed.Load(); f < int64(n) {
+		return nil, res[f].err
 	}
 	return res, nil
 }
@@ -206,7 +190,8 @@ func rebuild(base *tam.Architecture, i int, job func(cand *tam.Architecture, i i
 // observability knobs of the optimization entry points.
 type ParallelConfig struct {
 	// Workers bounds concurrent candidate evaluations: 0 means
-	// runtime.GOMAXPROCS(0), 1 runs serially.
+	// runtime.GOMAXPROCS(0), 1 scores every batch on the calling
+	// goroutine. The result and the trace do not depend on it.
 	Workers int
 
 	// CacheSize is the evaluation cache capacity in entries: 0 selects
@@ -219,9 +204,9 @@ type ParallelConfig struct {
 	MaxEvals int64
 
 	// Trace collects the structured search-trace of the run. nil (the
-	// default) disables tracing. At Workers==1 the trace additionally
-	// carries per-lookup cache hit/miss events; under concurrency the
-	// hit/miss split is timing-dependent, so it is metrics-only.
+	// default) disables tracing. The trace is the same at every worker
+	// count up to the dur_ns field; cache hit/miss totals are on
+	// Result.Metrics, not in the trace.
 	Trace *obs.Tracer
 
 	// Metrics collects the run's counters, gauges and phase-duration
@@ -252,36 +237,26 @@ func NewParallelEngine(s *soc.SOC, wmax int, eval Evaluator, cfg ParallelConfig)
 	if err != nil {
 		return nil, nil, err
 	}
-	par := &ParallelEvaluator{Workers: cfg.Workers}
-	eng.Par = par
+	eng.workers = resolveWorkers(cfg.Workers)
 	eng.MaxEvals = cfg.MaxEvals
 	if cfg.Trace != nil {
 		eng.Trace = cfg.Trace
-		if par.workers() == 1 {
-			// Per-lookup cache and eval_incremental events are
-			// deterministic only when one goroutine evaluates; see the
-			// obs package comment.
-			if cache != nil {
-				cache.sink = cfg.Trace
-			}
-			if inc, ok := innerEvaluator(eng.Eval).(*IncrementalSIEvaluator); ok {
-				inc.sink = cfg.Trace
-			}
-		}
 	}
 	if cache != nil && cfg.Persist != nil {
-		// After the sink decision above, so a single-worker traced run
-		// records its one deterministic cache_load event.
 		cache.AttachPersistent(cfg.Persist)
+		if cfg.Trace != nil {
+			cfg.Trace.Emit(obs.Event{Type: obs.CacheLoad, N: cache.Stats().Loads})
+		}
 	}
 	if cfg.Metrics != nil {
 		eng.Metrics = cfg.Metrics
-		par.batches = cfg.Metrics.Counter("pool_batches")
-		par.candidates = cfg.Metrics.Counter("pool_candidates")
-		par.busyNS = cfg.Metrics.Counter("pool_busy_ns")
-		par.wallNS = cfg.Metrics.Counter("pool_wall_ns")
-		par.timed = true
-		cfg.Metrics.Gauge("pool_workers").Set(int64(par.workers()))
+		eng.pool = poolMetrics{
+			batches:    cfg.Metrics.Counter("pool_batches"),
+			candidates: cfg.Metrics.Counter("pool_candidates"),
+			busyNS:     cfg.Metrics.Counter("pool_busy_ns"),
+			wallNS:     cfg.Metrics.Counter("pool_wall_ns"),
+		}
+		cfg.Metrics.Gauge("pool_workers").Set(int64(eng.workers))
 	}
 	return eng, cache, nil
 }

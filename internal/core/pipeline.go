@@ -99,6 +99,7 @@ type GroupingOptions struct {
 // input pattern. The context's error is returned only when it is done
 // before any work started.
 //
+//sitlint:detmerge-root
 //sitlint:allow ctxflow — ctx reaches every compaction through the parallelFor closure and the partitioner directly; the loops here are linear bookkeeping
 func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern, opts GroupingOptions) (*GroupingResult, error) {
 	if opts.Parts < 1 {

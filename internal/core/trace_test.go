@@ -12,21 +12,19 @@ import (
 )
 
 // Differential harness for the observability layer: traces of the same
-// run must be deterministic for a fixed seed and worker count —
-// identical ordered traces when repeated, identical event multisets
-// across worker counts once the single-worker-only cache events are
-// filtered out — and the replayed convergence curve must end at exactly
-// the returned Breakdown.TimeSOC.
+// run must be identical event by event at every worker count and on
+// repetition, up to the wall-clock dur_ns field (Event.Canonical), and
+// the replayed convergence curve must end at exactly the returned
+// Breakdown.TimeSOC.
 
 const traceW = 16
 
 // traceRun executes one traced optimization and returns the result and
 // the collected events.
-func traceRun(t *testing.T, s *soc.SOC, groups []*sischedule.Group, m sischedule.Model, workers int) (*Result, []obs.Event) {
+func traceRun(t *testing.T, s *soc.SOC, groups []*sischedule.Group, m sischedule.Model, algo Algo, workers int) (*Result, []obs.Event) {
 	t.Helper()
 	tr := obs.NewTracer()
-	res, err := TAMOptimizationWith(context.Background(), s, traceW, groups, m,
-		ParallelConfig{Workers: workers, Trace: tr})
+	res, err := Solve(context.Background(), s, traceW, groups, m, algo, ParallelConfig{Workers: workers, Trace: tr})
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
@@ -37,88 +35,35 @@ func traceRun(t *testing.T, s *soc.SOC, groups []*sischedule.Group, m sischedule
 	return res, events
 }
 
-// singleWorkerOnly reports whether ev is emitted only by single-worker
-// runs (cache lookups and incremental evaluation accounting, whose
-// split is timing-dependent under concurrency).
-func singleWorkerOnly(ev *obs.Event) bool {
-	return ev.Type == obs.CacheHit || ev.Type == obs.CacheMiss || ev.Type == obs.EvalIncremental
-}
-
-// canon strips the nondeterministic fields (sequence number, wall-clock
-// duration) and optionally the single-worker-only events, so traces can
-// be compared across runs and worker counts.
-func canon(events []obs.Event, dropSingle bool) []obs.Event {
-	out := make([]obs.Event, 0, len(events))
-	for _, ev := range events {
-		if dropSingle && singleWorkerOnly(&ev) {
-			continue
-		}
-		ev.Seq = 0
-		out = append(out, ev.Canonical())
-	}
-	return out
-}
-
-func multiset(events []obs.Event) map[obs.Event]int {
-	m := make(map[obs.Event]int, len(events))
-	for _, ev := range events {
-		m[ev]++
-	}
-	return m
-}
-
 func TestTraceDeterministicAcrossWorkers(t *testing.T) {
+	type input struct {
+		soc  string
+		algo Algo
+	}
+	inputs := map[string]input{
+		"d695_ils_restarts3": {"d695", Algo{Kind: AlgoILS, Kicks: ilsKicks, Restarts: 3, Seed: ilsSeed}},
+	}
 	for name := range diffGolden {
+		inputs[name] = input{soc: name}
+	}
+	for name, in := range inputs {
 		t.Run(name, func(t *testing.T) {
-			if testing.Short() && name == "p93791" {
+			if testing.Short() && in.soc == "p93791" {
 				t.Skip("skipping the largest fixture in -short mode")
 			}
-			s := soc.MustLoadBenchmark(name)
+			s := soc.MustLoadBenchmark(in.soc)
 			groups := diffGroups(t, s)
 			m := sischedule.DefaultModel()
 
-			_, base := traceRun(t, s, groups, m, 1)
-			_, again := traceRun(t, s, groups, m, 1)
-			b, a := canon(base, false), canon(again, false)
-			if len(b) != len(a) {
-				t.Fatalf("repeated workers=1 traces differ in length: %d != %d", len(b), len(a))
-			}
-			for i := range b {
-				if b[i] != a[i] {
-					t.Fatalf("repeated workers=1 traces diverge at event %d: %+v != %+v", i, b[i], a[i])
+			_, base := traceRun(t, s, groups, m, in.algo, 1)
+			for _, workers := range []int{1, 2, 8} {
+				_, events := traceRun(t, s, groups, m, in.algo, workers)
+				if len(events) != len(base) {
+					t.Fatalf("workers=%d: %d events, the first workers=1 run has %d", workers, len(events), len(base))
 				}
-			}
-			var cacheEvents, incEvents int
-			for _, ev := range base {
-				switch ev.Type {
-				case obs.CacheHit, obs.CacheMiss:
-					cacheEvents++
-				case obs.EvalIncremental:
-					incEvents++
-				}
-			}
-			if cacheEvents == 0 {
-				t.Error("workers=1 trace carries no cache events")
-			}
-			if incEvents == 0 {
-				t.Error("workers=1 trace carries no eval_incremental events")
-			}
-
-			want := multiset(canon(base, true))
-			for _, workers := range []int{2, 8} {
-				_, events := traceRun(t, s, groups, m, workers)
-				for _, ev := range events {
-					if singleWorkerOnly(&ev) {
-						t.Fatalf("workers=%d trace carries single-worker-only event %+v", workers, ev)
-					}
-				}
-				got := multiset(canon(events, true))
-				if len(got) != len(want) {
-					t.Errorf("workers=%d: %d distinct events, workers=1 has %d", workers, len(got), len(want))
-				}
-				for ev, n := range want {
-					if got[ev] != n {
-						t.Errorf("workers=%d: event %+v seen %d times, want %d", workers, ev, got[ev], n)
+				for i := range base {
+					if got, want := events[i].Canonical(), base[i].Canonical(); got != want {
+						t.Fatalf("workers=%d: event %d is %+v, the first workers=1 run has %+v", workers, i, got, want)
 					}
 				}
 			}
@@ -134,7 +79,7 @@ func TestTraceCurveEndsAtTimeSOC(t *testing.T) {
 			}
 			s := soc.MustLoadBenchmark(name)
 			groups := diffGroups(t, s)
-			res, events := traceRun(t, s, groups, sischedule.DefaultModel(), 1)
+			res, events := traceRun(t, s, groups, sischedule.DefaultModel(), Algo{}, 1)
 			curve := obs.Curve(events)
 			if len(curve) == 0 {
 				t.Fatal("trace has no convergence curve")
@@ -149,49 +94,6 @@ func TestTraceCurveEndsAtTimeSOC(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestTraceILSRestartsDeterministic(t *testing.T) {
-	s := soc.MustLoadBenchmark("d695")
-	groups := diffGroups(t, s)
-	m := sischedule.DefaultModel()
-	run := func(workers int) []obs.Event {
-		t.Helper()
-		tr := obs.NewTracer()
-		eng, cache, err := NewParallelEngine(s, traceW, &SIEvaluator{Groups: groups, Model: m},
-			ParallelConfig{Workers: workers, Trace: tr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		arch, st, err2 := func() (*Result, Status, error) {
-			a, _, st, err := eng.OptimizeILSRestartsCtx(context.Background(), ilsKicks, 3, ilsSeed)
-			if err != nil {
-				return nil, st, err
-			}
-			res, err := eng.Finish(a, st, groups, m, cache)
-			return res, st, err
-		}()
-		if err2 != nil {
-			t.Fatalf("workers=%d: %v", workers, err2)
-		}
-		_ = arch
-		_ = st
-		events := tr.Events()
-		if err := obs.ValidateTrace(events); err != nil {
-			t.Fatalf("workers=%d: invalid trace: %v", workers, err)
-		}
-		return events
-	}
-	want := multiset(canon(run(1), true))
-	got := multiset(canon(run(8), true))
-	if len(got) != len(want) {
-		t.Errorf("workers=8: %d distinct events, workers=1 has %d", len(got), len(want))
-	}
-	for ev, n := range want {
-		if got[ev] != n {
-			t.Errorf("workers=8: event %+v seen %d times, want %d", ev, got[ev], n)
-		}
 	}
 }
 
@@ -322,7 +224,7 @@ func TestResultMetricsSnapshot(t *testing.T) {
 func TestSIGroupScheduledEvents(t *testing.T) {
 	s := soc.MustLoadBenchmark("d695")
 	groups := diffGroups(t, s)
-	_, events := traceRun(t, s, groups, sischedule.DefaultModel(), 1)
+	_, events := traceRun(t, s, groups, sischedule.DefaultModel(), Algo{}, 1)
 	var slots int
 	for _, ev := range events {
 		if ev.Type == obs.SIGroupScheduled {

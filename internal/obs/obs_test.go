@@ -17,8 +17,8 @@ func TestEventValidate(t *testing.T) {
 		{Type: MergeRejected, Phase: "core reshuffle", Obj: 5, N: 2},
 		{Type: ILSKick, Kick: 1, Seed: 7, Obj: 50, Best: 40},
 		{Type: SIGroupScheduled, Group: "G1", Begin: 0, End: 10, Rails: 2, Rail: 1, N: 30},
-		{Type: CacheHit},
-		{Type: CacheMiss},
+		{Type: CacheLoad, N: 12},
+		{Type: CacheLoad},
 		{Type: DeadlineHit, Phase: "ILS", Cause: "deadline"},
 		{Type: DeadlineHit, Cause: "interrupted"},
 		{Type: DeadlineHit, Cause: "budget"},
@@ -30,6 +30,9 @@ func TestEventValidate(t *testing.T) {
 	}
 	invalid := []Event{
 		{Type: "bogus"},
+		{Type: "cache_hit"},                   // per-lookup cache events are no longer in the vocabulary
+		{Type: "eval_incremental"},            // nor is per-evaluation recompute accounting
+		{Type: CacheLoad, N: -1},              // negative load count
 		{Type: PhaseStart},                    // missing phase
 		{Type: CandidateEvaluated},            // missing phase
 		{Type: ILSKick, Kick: 0},              // kick must be >= 1
@@ -88,13 +91,13 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLStrict(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader(`{"seq":0,"type":"cache_hit","bogus":1}`)); err == nil {
+	if _, err := ReadJSONL(strings.NewReader(`{"seq":0,"type":"cache_load","bogus":1}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
 	if _, err := ReadJSONL(strings.NewReader("not json")); err == nil {
 		t.Error("malformed line accepted")
 	}
-	evs, err := ReadJSONL(strings.NewReader("\n{\"seq\":0,\"type\":\"cache_hit\"}\n\n"))
+	evs, err := ReadJSONL(strings.NewReader("\n{\"seq\":0,\"type\":\"cache_load\"}\n\n"))
 	if err != nil || len(evs) != 1 {
 		t.Errorf("blank lines not skipped: %v, %d events", err, len(evs))
 	}
@@ -103,12 +106,12 @@ func TestReadJSONLStrict(t *testing.T) {
 func TestLocalDrainOrder(t *testing.T) {
 	tr := NewTracer()
 	a, b := NewLocal(), NewLocal()
-	b.Emit(Event{Type: CacheMiss})
-	a.Emit(Event{Type: CacheHit})
-	a.Emit(Event{Type: CacheHit})
+	b.Emit(Event{Type: DeadlineHit, Cause: "budget"})
+	a.Emit(Event{Type: CacheLoad})
+	a.Emit(Event{Type: CacheLoad})
 	Drain(tr, a, nil, b)
 	evs := tr.Events()
-	wantTypes := []Type{CacheHit, CacheHit, CacheMiss}
+	wantTypes := []Type{CacheLoad, CacheLoad, DeadlineHit}
 	if len(evs) != len(wantTypes) {
 		t.Fatalf("drained %d events, want %d", len(evs), len(wantTypes))
 	}

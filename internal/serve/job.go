@@ -210,6 +210,10 @@ type Job struct {
 	outcome *Outcome
 	errMsg  string
 
+	// claimed is set by the one successful claim; the terminal state
+	// it carries becomes visible only at publish.
+	claimed bool
+
 	// cancel cancels the job's run context; safe to call at any time,
 	// in any state, more than once. Set before the job is published.
 	cancel context.CancelFunc
@@ -284,7 +288,7 @@ func (j *Job) release() {
 func (j *Job) setRunning() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateQueued {
+	if j.state != StateQueued || j.claimed {
 		return false
 	}
 	j.state = StateRunning
@@ -299,23 +303,30 @@ func (j *Job) canceledByClient() bool {
 	return j.wantCancel
 }
 
-// claim moves the job to a terminal state exactly once; extra calls
-// are no-ops returning false. Done stays open: the one caller whose
-// claim succeeded closes it with publish after its bookkeeping (metrics,
-// flight recorder, journal), so whoever wakes on Done sees all of it.
-func (j *Job) claim(state State, outcome *Outcome, errMsg string) bool {
+// claim reserves the job's terminal transition exactly once; extra
+// calls are no-ops returning false. The job still reads as queued or
+// running: the one caller whose claim succeeded makes the terminal
+// state visible with publish after its bookkeeping (metrics, flight
+// recorder, journal), so whoever sees the state or wakes on Done sees
+// all of it.
+func (j *Job) claim() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	if j.claimed {
 		return false
 	}
-	j.state, j.outcome, j.errMsg = state, outcome, errMsg
+	j.claimed = true
 	return true
 }
 
-// publish closes Done. Only the caller whose claim succeeded may call
-// it, exactly once.
-func (j *Job) publish() { close(j.done) }
+// publish sets the terminal state and closes Done. Only the caller
+// whose claim succeeded may call it, exactly once.
+func (j *Job) publish(state State, outcome *Outcome, errMsg string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.state, j.outcome, j.errMsg = state, outcome, errMsg
+	close(j.done)
+}
 
 // Status is the JSON view of a job served by GET /v1/jobs/{id}.
 type Status struct {

@@ -315,26 +315,33 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 	return job, nil
 }
 
-// execute runs one job with panic isolation: a crash inside the job —
-// engine bug or injected chaos — becomes a structured job-failure
-// record, not a daemon crash.
+// execute runs one job and finalizes it. The job's running gauge and
+// duration land before finalizeJob publishes the terminal state, so
+// a waiter woken by Done reads metrics that already count the job.
 func (s *Scheduler) execute(job *Job) {
 	if !job.setRunning() {
 		return // canceled while still queued
 	}
 	s.cfg.Metrics.Gauge("serve_queue_depth").Set(int64(len(s.queue)))
 	s.cfg.Metrics.Gauge("serve_running").Set(s.running.Add(1))
+	start := time.Now()
+	state, outcome, errMsg := s.runIsolated(job)
+	s.cfg.Metrics.Gauge("serve_running").Set(s.running.Add(-1))
+	s.cfg.Metrics.HistogramBuckets("serve_job_ms", phaseBucketsMs).Observe(time.Since(start).Milliseconds())
+	s.finalizeJob(job, state, outcome, errMsg)
+}
 
+// runIsolated runs the job with panic isolation and classifies how it
+// ended: a crash inside the job — engine bug or injected chaos —
+// becomes a structured job-failure record, not a daemon crash.
+func (s *Scheduler) runIsolated(job *Job) (state State, outcome *Outcome, errMsg string) {
 	deadline := time.Duration(job.Req.TimeoutMS) * time.Millisecond
 	ctx, cancel := context.WithTimeout(job.runBase, deadline)
-	start := time.Now()
+	defer cancel()
 	defer func() {
-		cancel()
-		s.cfg.Metrics.Gauge("serve_running").Set(s.running.Add(-1))
-		s.cfg.Metrics.HistogramBuckets("serve_job_ms", phaseBucketsMs).Observe(time.Since(start).Milliseconds())
 		if r := recover(); r != nil {
 			s.cfg.Metrics.Counter("serve_panics").Inc()
-			s.finalizeJob(job, StateFailed, nil, fmt.Sprintf("panic: %v", r))
+			state, outcome, errMsg = StateFailed, nil, fmt.Sprintf("panic: %v", r)
 		}
 	}()
 
@@ -344,16 +351,15 @@ func (s *Scheduler) execute(job *Job) {
 	}
 	switch {
 	case err == nil && outcome.Partial:
-		s.finalizeJob(job, StatePartial, outcome, "")
+		return StatePartial, outcome, ""
 	case err == nil:
-		s.finalizeJob(job, StateDone, outcome, "")
+		return StateDone, outcome, ""
 	case job.canceledByClient() && errors.Is(err, context.Canceled):
-		s.finalizeJob(job, StateCanceled, nil, "canceled")
+		return StateCanceled, nil, "canceled"
 	case errors.Is(err, context.Canceled) && s.Draining():
-		s.finalizeJob(job, StateFailed, nil, "daemon draining before any usable result")
-	default:
-		s.finalizeJob(job, StateFailed, nil, err.Error())
+		return StateFailed, nil, "daemon draining before any usable result"
 	}
+	return StateFailed, nil, err.Error()
 }
 
 // phaseBucketsMs are the fixed bucket bounds (milliseconds) of the
@@ -381,12 +387,13 @@ func stateCounterKey(state State) string {
 
 // finalizeJob applies a terminal transition once, records the trace in
 // the flight recorder, accounts for it and journals it durably, and
-// only then closes the job's Done channel.
+// only then publishes the terminal state and closes the job's Done
+// channel.
 func (s *Scheduler) finalizeJob(job *Job, state State, outcome *Outcome, errMsg string) {
-	if !job.claim(state, outcome, errMsg) {
+	if !job.claim() {
 		return
 	}
-	defer job.publish()
+	defer job.publish(state, outcome, errMsg)
 	job.release()
 	events := job.Trace.Events()
 	s.recorder.Record(job.ID, events)
@@ -470,9 +477,9 @@ func (s *Scheduler) recoverJournal(path string) error {
 				job = newJob(e.ID, Request{})
 				s.addReplayed(job)
 			}
-			if job.claim(e.State, e.Result, e.Error) {
+			if job.claim() {
 				s.cfg.Metrics.Counter("serve_replayed").Inc()
-				job.publish()
+				job.publish(e.State, e.Result, e.Error)
 			}
 		}
 	}
@@ -484,10 +491,10 @@ func (s *Scheduler) recoverJournal(path string) error {
 		}
 		orphans++
 		const msg = "daemon crashed before the job completed; resubmit"
-		job.claim(StateFailed, nil, msg)
+		job.claim()
 		s.cfg.Metrics.Counter("serve_orphaned").Inc()
 		err := s.journal.Append(JournalEntry{T: "terminal", ID: id, State: StateFailed, Error: msg})
-		job.publish()
+		job.publish(StateFailed, nil, msg)
 		if err != nil {
 			return err
 		}

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -109,6 +110,64 @@ func TestHTTPSubmitAndResult(t *testing.T) {
 	}
 	if snap.Counters["serve_admitted"] != 1 || snap.Counters["serve_done"] != 1 {
 		t.Errorf("metrics counters = %v, want 1 admitted / 1 done", snap.Counters)
+	}
+}
+
+// TestHTTPTerminalStateFollowsBookkeeping pins the order of a job's
+// terminal transition: while finalizeJob's bookkeeping is held (here
+// its closing log line blocks) the job must not read terminal, and once
+// it does, /metrics already counts it and serve_job_ms has observed it.
+func TestHTTPTerminalStateFollowsBookkeeping(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+	logf := func(format string, _ ...any) {
+		if strings.HasPrefix(format, "job %s -> ") {
+			close(held) // the test submits one job
+			<-release
+		}
+	}
+	_, ts := newTestServer(t, ServerConfig{Config: Config{Workers: 1, Logf: logf}})
+	acc, resp := postJob(t, ts, quickReq())
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
+	}
+	select {
+	case <-held:
+	case <-time.After(30 * time.Second):
+		t.Fatal("job never reached its terminal bookkeeping")
+	}
+	if st := getStatus(t, ts, acc.ID); st.State.Terminal() {
+		t.Fatalf("job reads %s while its bookkeeping is held", st.State)
+	}
+	releaseOnce()
+	if st := waitHTTPTerminal(t, ts, acc.ID); st.State != StateDone {
+		t.Fatalf("state = %s (%s), want done", st.State, st.Error)
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	var snap struct {
+		Counters   map[string]int64 `json:"counters"`
+		Gauges     map[string]int64 `json:"gauges"`
+		Histograms map[string]struct {
+			Count int64 `json:"count"`
+		} `json:"histograms"`
+	}
+	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters["serve_done"]; got != 1 {
+		t.Errorf("serve_done = %d once the job reads done, want 1", got)
+	}
+	if got := snap.Histograms["serve_job_ms"].Count; got != 1 {
+		t.Errorf("serve_job_ms observed %d jobs once the job reads done, want 1", got)
+	}
+	if got := snap.Gauges["serve_running"]; got != 0 {
+		t.Errorf("serve_running = %d once the job reads done, want 0", got)
 	}
 }
 
