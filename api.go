@@ -279,11 +279,6 @@ type (
 	// CacheStats reports the evaluation cache's hit/miss/eviction
 	// counters for a run.
 	CacheStats = core.CacheStats
-	// CacheFile is a persistent on-disk evaluation-cache journal; pass
-	// one via ParallelConfig.Persist to seed a run's cache from disk
-	// and append its new entries back. The caller owns the lifecycle
-	// (OpenCacheFile / Close).
-	CacheFile = core.CacheFile
 )
 
 // The optimizer kinds of Algo.Kind.
@@ -301,20 +296,6 @@ const (
 	// lowest seed). Restarts < 1 is an error.
 	AlgoILS = core.AlgoILS
 )
-
-// ErrCacheLocked reports that another process holds the cache file's
-// advisory lock; callers typically degrade to memory-only caching.
-var ErrCacheLocked = core.ErrCacheLocked
-
-// OpenCacheFile opens (creating if absent) a persistent evaluation-
-// cache file for ParallelConfig.Persist. The file is advisory-locked
-// for exclusive use and repaired on open: a torn tail or corrupt
-// record truncates to the last valid prefix, a version mismatch
-// cold-starts, and a file that was never a cache is refused unchanged.
-func OpenCacheFile(path string) (cf *CacheFile, err error) {
-	defer guard(&err)
-	return core.OpenCacheFile(path)
-}
 
 // Observability: the structured search trace and the metrics registry
 // (see package obs for the event schema and determinism contract).

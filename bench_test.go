@@ -13,9 +13,7 @@ package sitam
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
-	"time"
 
 	"sitam/internal/compaction"
 	"sitam/internal/core"
@@ -329,248 +327,6 @@ func Benchmark_AblationILS(b *testing.B) {
 			}
 			b.ReportMetric(float64(obj), "T_soc_cc")
 		})
-	}
-}
-
-// --- Parallel evaluation and memoization benches ---
-
-// benchParallelEval compares the optimization under serial/no-cache,
-// serial/cached and multi-worker/cached configurations; all variants
-// produce byte-identical architectures (see the differential tests),
-// so the comparison isolates wall-clock and cache effects. The cache
-// hit rate of the last run is attached as a metric.
-func benchParallelEval(b *testing.B, name string, wmax int) {
-	s := soc.MustLoadBenchmark(name)
-	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := sischedule.DefaultModel()
-	for _, bc := range []struct {
-		name string
-		cfg  core.ParallelConfig
-	}{
-		{"serial_nocache", serialCfg},
-		{"serial_cache", core.ParallelConfig{Workers: 1}},
-		{"workers2_cache", core.ParallelConfig{Workers: 2}},
-		{"workers8_cache", core.ParallelConfig{Workers: 8}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			var hitRate float64
-			for i := 0; i < b.N; i++ {
-				res, err := core.TAMOptimizationWith(context.Background(), s, wmax, gr.Groups, m, bc.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				hitRate = res.Cache.HitRate()
-			}
-			if hitRate > 0 {
-				b.ReportMetric(100*hitRate, "cache_hit_%")
-			}
-		})
-	}
-}
-
-func Benchmark_ParallelEvalP34392W64(b *testing.B) { benchParallelEval(b, "p34392", 64) }
-func Benchmark_ParallelEvalP93791W64(b *testing.B) { benchParallelEval(b, "p93791", 64) }
-
-// Benchmark_CacheColdVsWarm isolates the memoization win: cold resets
-// the cache before every optimization; warm reuses the populated cache
-// across runs, so repeat optimizations of the same workload answer
-// almost every evaluation from the cache.
-func Benchmark_CacheColdVsWarm(b *testing.B) {
-	s := soc.MustLoadBenchmark("p34392")
-	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, cache, err := core.NewParallelEngine(s, 64,
-		&core.SIEvaluator{Groups: gr.Groups, Model: sischedule.DefaultModel()},
-		core.ParallelConfig{Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cache.Reset()
-			if _, _, _, err := eng.OptimizeCtx(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(100*cache.Stats().HitRate(), "cache_hit_%")
-	})
-	b.Run("warm", func(b *testing.B) {
-		cache.Reset()
-		if _, _, _, err := eng.OptimizeCtx(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		cache.ResetStats() // keep entries, count only the timed runs below
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := eng.OptimizeCtx(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(100*cache.Stats().HitRate(), "cache_hit_%")
-	})
-}
-
-// Benchmark_CachePersistentRestart measures the restart win of the
-// persistent cache file: a first "process" runs cold with -cache-file
-// semantics (populating the journal), then every timed iteration of
-// the warm sub-bench simulates a restarted process — reopen the file,
-// seed a brand-new in-memory cache from it, re-run the same sweep.
-// Seeded entries count as Loads, not hits, so the reported hit rate is
-// earned entirely by the timed run; the acceptance bar is >= 90% on
-// the first repeated sweep after restart.
-func Benchmark_CachePersistentRestart(b *testing.B) {
-	s := soc.MustLoadBenchmark("p34392")
-	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := sischedule.DefaultModel()
-	path := filepath.Join(b.TempDir(), "evals.sitcache")
-
-	// First process: one cold run populates the cache file.
-	cf, err := core.OpenCacheFile(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := core.TAMOptimizationWith(context.Background(), s, 64, gr.Groups, m,
-		core.ParallelConfig{Workers: 1, Persist: cf}); err != nil {
-		b.Fatal(err)
-	}
-	if err := cf.Close(); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		var hitRate float64
-		for i := 0; i < b.N; i++ {
-			res, err := core.TAMOptimizationWith(context.Background(), s, 64, gr.Groups, m,
-				core.ParallelConfig{Workers: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			hitRate = res.Cache.HitRate()
-		}
-		b.ReportMetric(100*hitRate, "cache_hit_%")
-	})
-	b.Run("persistent_warm", func(b *testing.B) {
-		var hitRate float64
-		for i := 0; i < b.N; i++ {
-			cf, err := core.OpenCacheFile(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := core.TAMOptimizationWith(context.Background(), s, 64, gr.Groups, m,
-				core.ParallelConfig{Workers: 1, Persist: cf})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := cf.Close(); err != nil {
-				b.Fatal(err)
-			}
-			hitRate = res.Cache.HitRate()
-		}
-		b.ReportMetric(100*hitRate, "cache_hit_%")
-		if hitRate < 0.9 {
-			b.Errorf("persistent warm hit rate %.1f%% < 90%% — restart seeding regressed", 100*hitRate)
-		}
-	})
-}
-
-// --- Incremental delta evaluation benches ---
-
-// Benchmark_IncrementalEval isolates the delta-evaluation win: a full
-// serial p93791 W=64 optimization (no memoization cache, workers=1)
-// under the from-scratch SIEvaluator versus the incremental evaluator
-// (dirty-rail TimeIn refresh + per-rail SI composition memo). The
-// differential suite pins both to byte-identical results, so the
-// comparison is pure wall-clock.
-func Benchmark_IncrementalEval(b *testing.B) {
-	s := soc.MustLoadBenchmark("p93791")
-	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := sischedule.DefaultModel()
-	run := func(b *testing.B, eval core.Evaluator) {
-		eng, _, err := core.NewParallelEngine(s, 64, eval, serialCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := eng.OptimizeCtx(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("scratch", func(b *testing.B) {
-		run(b, &core.SIEvaluator{Groups: gr.Groups, Model: m})
-	})
-	b.Run("incremental", func(b *testing.B) {
-		run(b, core.NewIncrementalSIEvaluatorCons(gr.Groups, m, nil))
-	})
-}
-
-// Benchmark_ColdCacheGuard guards against the cold-run cache
-// regression BENCH_parallel.json recorded for the string-keyed cache:
-// with the incremental hash keying, a cold cached optimization must
-// not be meaningfully slower than an uncached one. Both variants are
-// timed inside one benchmark run so they see the same machine state;
-// the assertion allows a generous noise margin (the steady-state
-// numbers live in BENCH_incremental.json).
-func Benchmark_ColdCacheGuard(b *testing.B) {
-	s := soc.MustLoadBenchmark("p34392")
-	patterns, _, err := sifault.GenerateCtx(context.Background(), s, sifault.GenConfig{N: 10000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := sischedule.DefaultModel()
-	time1 := func(cfg core.ParallelConfig) time.Duration {
-		t0 := time.Now()
-		if _, err := core.TAMOptimizationWith(context.Background(), s, 64, gr.Groups, m, cfg); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(t0)
-	}
-	// Warm the planner memo and allocator so both variants run steady.
-	time1(serialCfg)
-	var uncached, cached time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		uncached += time1(serialCfg)
-		cached += time1(core.ParallelConfig{Workers: 1}) // fresh cache: cold run
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(uncached.Nanoseconds())/float64(b.N), "nocache_ns")
-	b.ReportMetric(float64(cached.Nanoseconds())/float64(b.N), "coldcache_ns")
-	if cached > uncached*3/2 {
-		b.Errorf("cold cached run %v is >1.5x the uncached run %v — hash-keyed cache regressed", cached, uncached)
 	}
 }
 

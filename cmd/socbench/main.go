@@ -46,7 +46,6 @@ func main() {
 		nScen    = flag.Int("scenarios", 0, "run N seeded constrained-scheduling scenarios (seed, seed+1, ...) through the solve-and-check harness instead of the main tables")
 		coverage = flag.Bool("coverage", false, "run the SI fault coverage experiment instead of the main tables")
 		workers  = flag.Int("workers", 0, "concurrent candidate evaluations per optimization (0 = GOMAXPROCS, 1 = serial); table numbers are identical at any worker count")
-		cacheFil = flag.String("cache-file", "", "persistent evaluation-cache file shared by every cell of the sweep; a locked or damaged file degrades to memory-only")
 		timeout  = flag.Duration("timeout", 0, "deadline; on expiry the completed cells are printed and the exit code is 3 (0 = none)")
 		stats    = flag.Bool("stats", false, "print the accumulated metrics snapshot (worker pool, phase timings) to stderr after the tables")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -73,21 +72,6 @@ func main() {
 	if *stats {
 		metrics = obs.NewRegistry()
 		defer printStats()
-	}
-
-	var persist *core.CacheFile
-	if *cacheFil != "" {
-		cf, cferr := core.OpenCacheFile(*cacheFil)
-		if cferr != nil {
-			log.Printf("cache file %s unavailable (%v); continuing without persistence", *cacheFil, cferr)
-		} else {
-			defer func() {
-				if cerr := cf.Close(); cerr != nil {
-					log.Printf("cache file %s: close: %v (appends since the last sync may be lost)", *cacheFil, cerr)
-				}
-			}()
-			persist = cf
-		}
 	}
 
 	ctx, stop := cli.Context(*timeout)
@@ -153,7 +137,7 @@ func main() {
 		}
 		cfg := experiments.TableConfig{
 			Seed: *seed, Progress: progress,
-			Parallel: core.ParallelConfig{Workers: *workers, CacheSize: core.DefaultCacheSize, Metrics: metrics, Persist: persist},
+			Parallel: core.ParallelConfig{Workers: *workers, CacheSize: core.DefaultCacheSize, Metrics: metrics},
 		}
 		if *quick {
 			cfg.Widths = []int{16, 32, 64}

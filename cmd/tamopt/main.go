@@ -57,7 +57,6 @@ func main() {
 		restarts = flag.Int("restarts", 1, "independent ILS restarts with seeds seed, seed+1, ... (only with -ils > 0)")
 		workers  = flag.Int("workers", 0, "concurrent candidate evaluations (0 = GOMAXPROCS, 1 = serial); results are identical at any worker count")
 		cache    = flag.Int("cache", 0, "evaluation cache capacity in entries (0 = default, negative = disabled)")
-		cacheFil = flag.String("cache-file", "", "persistent evaluation-cache file: loaded before the run, appended during it; a locked or damaged file degrades to memory-only")
 		timeout  = flag.Duration("timeout", 0, "overall deadline; on expiry the best result so far is printed and the exit code is 3 (0 = none)")
 		budget   = flag.Int64("budget", 0, "objective-evaluation budget; on exhaustion the best result so far is printed and the exit code is 3 (0 = unlimited)")
 		traceOut = flag.String("trace", "", "write the structured search trace as JSONL to this file")
@@ -77,20 +76,6 @@ func main() {
 	defer stop()
 
 	cfg := core.ParallelConfig{Workers: *workers, CacheSize: *cache, MaxEvals: *budget}
-	if *cacheFil != "" && *cache >= 0 {
-		cf, cferr := core.OpenCacheFile(*cacheFil)
-		if cferr != nil {
-			// Persistence is an accelerator, never a gate: run memory-only.
-			log.Printf("cache file %s unavailable (%v); continuing without persistence", *cacheFil, cferr)
-		} else {
-			defer func() {
-				if cerr := cf.Close(); cerr != nil {
-					log.Printf("cache file %s: close: %v (appends since the last sync may be lost)", *cacheFil, cerr)
-				}
-			}()
-			cfg.Persist = cf
-		}
-	}
 	o := options{
 		socName: *socName, file: *file, wmax: *wmax, nr: *nr, parts: *parts,
 		seed: *seed, baseline: *baseline, gantt: *gantt, jsonOut: *jsonOut,

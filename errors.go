@@ -1,21 +1,23 @@
 package sitam
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 
+	"sitam/internal/core"
 	"sitam/internal/serve"
 )
 
-// ErrInternal wraps every error the facade synthesizes from a recovered
-// internal panic. Library invariants are enforced with panics inside
-// the internal packages; the facade converts any that escape into an
-// ordinary error carrying the panic message and a stack snippet, so a
-// library bug cannot crash the embedding process. Test for it with
-// errors.Is(err, sitam.ErrInternal).
-var ErrInternal = errors.New("sitam: internal error")
+// ErrInternal marks a library fault. It wraps every error the facade
+// synthesizes from a recovered internal panic: library invariants are
+// enforced with panics inside the internal packages, and the facade
+// converts any that escape into an ordinary error carrying the panic
+// message and a stack snippet, so a library bug cannot crash the
+// embedding process. It also wraps a result whose SI schedule fails
+// the independent checker (every optimization checks its own). Test
+// for it with errors.Is(err, sitam.ErrInternal).
+var ErrInternal = core.ErrInternal
 
 // ErrOverloaded is the admission-control sentinel of the serving
 // layer (sitamd): a job submission was shed because the bounded queue

@@ -22,9 +22,9 @@ import (
 // The key is tam.Architecture.Hash(): the XOR of the rails' FNV-1a
 // (width, cores) sub-hashes, maintained incrementally by the dirty-rail
 // machinery. Keying therefore costs O(dirty rails) and zero
-// allocations, replacing the sorted-composition string key whose
-// build-and-sort overhead BENCH_parallel.json flagged as roughly
-// offsetting the memoization win on cold runs. A 64-bit collision over
+// allocations, replacing a sorted-composition string key whose
+// build-and-sort overhead once roughly offset the memoization win on
+// cold runs (measured on p34392 W=64, 2 vCPUs). A 64-bit collision over
 // a cache of at most 2^16 entries has probability ~1e-10 per run;
 // lookups additionally verify the per-rail sub-hashes and fall back to
 // a fresh evaluation on any mismatch, so a collision can cost
@@ -249,22 +249,4 @@ func (c *CachedEvaluator) Stats() CacheStats {
 		Evictions: c.evictions.Load(),
 		Entries:   n,
 	}
-}
-
-// Reset drops all entries and zeroes the counters (used by the
-// cold-vs-warm benchmarks).
-func (c *CachedEvaluator) Reset() {
-	c.mu.Lock()
-	c.entries = make(map[uint64]cacheEntry)
-	c.mu.Unlock()
-	c.ResetStats()
-}
-
-// ResetStats zeroes the counters while keeping the cached entries, so
-// warm-cache hit rates can be measured without the priming misses.
-func (c *CachedEvaluator) ResetStats() {
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.loads.Store(0)
-	c.evictions.Store(0)
 }

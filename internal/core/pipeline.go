@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"sitam/internal/compaction"
 	"sitam/internal/hypergraph"
 	"sitam/internal/obs"
+	"sitam/internal/sicheck"
 	"sitam/internal/sifault"
 	"sitam/internal/sischedule"
 	"sitam/internal/soc"
@@ -309,11 +311,16 @@ func appendPinKey(b []byte, pins []int) []byte {
 	return b
 }
 
+// ErrInternal marks a library fault: a result that failed its own
+// self-check, or (through the facade's guard) a recovered panic.
+var ErrInternal = errors.New("sitam: internal error")
+
 // Finish assembles the Result of an optimization run: it evaluates the
 // final architecture's breakdown and SI schedule (emitting the
-// si_group_scheduled events when the engine traces), snapshots the
-// cache counters and metrics onto the result, and carries the anytime
-// status. Every entry point that produces a Result funnels through it.
+// si_group_scheduled events when the engine traces), checks that
+// schedule with the independent checker, snapshots the cache counters
+// and metrics onto the result, and carries the anytime status. Every
+// entry point that produces a Result funnels through it.
 func (e *Engine) Finish(arch *tam.Architecture, st Status, groups []*sischedule.Group, m sischedule.Model, cache *CachedEvaluator) (*Result, error) {
 	cons, err := CompileSOCConstraints(arch.SOC, groups)
 	if err != nil {
@@ -323,10 +330,8 @@ func (e *Engine) Finish(arch *tam.Architecture, st Status, groups []*sischedule.
 	if err != nil {
 		return nil, err
 	}
-	if scheduleSelfCheck {
-		if err := selfCheckSchedule(arch, groups, sched, cons); err != nil {
-			return nil, fmt.Errorf("core: schedule self-check: %w", err)
-		}
+	if err := checkSchedule(arch, groups, m, sched); err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Architecture: arch, Breakdown: bd, Schedule: sched,
@@ -337,6 +342,43 @@ func (e *Engine) Finish(arch *tam.Architecture, st Status, groups []*sischedule.
 	}
 	res.Metrics = e.snapshotMetrics(cache)
 	return res, nil
+}
+
+// checkSchedule validates sched with sicheck, which shares no code
+// with the scheduler that built it. The architecture, groups, cost
+// model and the SOC's raw constraint stanza are restated as plain
+// data; groups are named by their index so that duplicate
+// caller-chosen names cannot confuse the slot matching. A failure is
+// a library fault and wraps ErrInternal.
+func checkSchedule(a *tam.Architecture, groups []*sischedule.Group, m sischedule.Model, sched *sischedule.Schedule) error {
+	inst := &sicheck.Instance{WOC: make(map[int]int, a.SOC.NumCores()), Bypass: m.Bypass, Overhead: m.Overhead}
+	for _, c := range a.SOC.Cores() {
+		inst.WOC[c.ID] = c.WOC()
+	}
+	for _, r := range a.Rails {
+		inst.Rails = append(inst.Rails, sicheck.Rail{Width: r.Width, Cores: r.Cores})
+	}
+	names := make(map[*sischedule.Group]string, len(groups))
+	for i, g := range groups {
+		names[g] = fmt.Sprintf("#%d %s", i, g.Name)
+		inst.Groups = append(inst.Groups, sicheck.Group{Name: names[g], Cores: g.Cores, Patterns: g.Patterns})
+	}
+	if cs := a.SOC.Constraints; cs != nil {
+		inst.PowerBudget = cs.PowerBudget
+		inst.CorePower = cs.CorePower
+		for _, pr := range cs.Precedences {
+			inst.Precedences = append(inst.Precedences, [2]int{pr.Before, pr.After})
+		}
+		inst.Exclusions = cs.Exclusions
+	}
+	slots := make([]sicheck.Slot, len(sched.Slots))
+	for i, sl := range sched.Slots {
+		slots[i] = sicheck.Slot{Group: names[sl.Group], Begin: sl.Begin, End: sl.End}
+	}
+	if err := inst.Check(slots, sched.TotalSI); err != nil {
+		return fmt.Errorf("%w: core: schedule self-check: %v", ErrInternal, err)
+	}
+	return nil
 }
 
 // snapshotMetrics copies the registry (when attached) into plain data

@@ -12,9 +12,8 @@
 //     unboundedly;
 //   - no goroutines leak once the dust settles.
 //
-// It also collects submit-to-terminal latency percentiles, written to
-// BENCH_serve.json by the test wrapper so CI tracks serving latency
-// over time.
+// It also collects submit-to-terminal latency percentiles, which the
+// test wrapper logs.
 package chaostest
 
 import (
@@ -60,33 +59,33 @@ type Options struct {
 
 // Percentiles summarizes submit-to-terminal latency.
 type Percentiles struct {
-	Samples int     `json:"samples"`
-	P50ms   float64 `json:"p50_ms"`
-	P95ms   float64 `json:"p95_ms"`
-	P99ms   float64 `json:"p99_ms"`
+	Samples int
+	P50ms   float64
+	P95ms   float64
+	P99ms   float64
 }
 
 // Result is everything a chaos run observed. The invariant fields
 // (NonTerminal, DeterminismViolations, MissingRetryAfter,
 // LeakedGoroutines) are empty/zero on a healthy run.
 type Result struct {
-	Duration time.Duration `json:"-"`
+	Duration time.Duration
 
-	Requests    int `json:"requests"`
-	Admitted    int `json:"admitted"`
-	Shed        int `json:"shed"`
-	Panics      int `json:"panics"`
-	Disconnects int `json:"disconnects"`
-	SlowReads   int `json:"slowReads"`
-	Bursts      int `json:"bursts"`
-	DupCompared int `json:"dupCompared"`
+	Requests    int
+	Admitted    int
+	Shed        int
+	Panics      int
+	Disconnects int
+	SlowReads   int
+	Bursts      int
+	DupCompared int
 
-	Latency Percentiles `json:"latency"`
+	Latency Percentiles
 
-	NonTerminal           []string `json:"nonTerminal,omitempty"`
-	DeterminismViolations []string `json:"determinismViolations,omitempty"`
-	MissingRetryAfter     int      `json:"missingRetryAfter,omitempty"`
-	LeakedGoroutines      int      `json:"leakedGoroutines,omitempty"`
+	NonTerminal           []string
+	DeterminismViolations []string
+	MissingRetryAfter     int
+	LeakedGoroutines      int
 }
 
 // Healthy reports whether the run upheld every invariant.
@@ -502,8 +501,7 @@ func percentiles(d []time.Duration) Percentiles {
 		if i >= len(sorted) {
 			i = len(sorted) - 1
 		}
-		// Round to microsecond precision so BENCH_serve.json diffs carry
-		// only real movement, not float formatting churn.
+		// Round to microsecond precision for the log line.
 		return math.Round(float64(sorted[i])/float64(time.Microsecond)) / 1000
 	}
 	return Percentiles{

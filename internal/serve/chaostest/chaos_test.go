@@ -1,7 +1,6 @@
 package chaostest
 
 import (
-	"encoding/json"
 	"os"
 	"testing"
 	"time"
@@ -70,29 +69,4 @@ func TestChaos(t *testing.T) {
 	if res.DupCompared == 0 {
 		t.Error("chaos run never compared duplicate-request outcomes")
 	}
-
-	writeBench(t, res)
-}
-
-// writeBench records the latency percentiles to the file named by
-// CHAOS_BENCH_OUT, when set: CI uploads it as an artifact, and sitperf
-// points it at a scratch file to measure a fresh run. Unset, nothing
-// is written, so the test suite never rewrites a tracked file.
-func writeBench(t *testing.T, res *Result) {
-	path := os.Getenv("CHAOS_BENCH_OUT")
-	if path == "" {
-		return
-	}
-	out := struct {
-		*Result
-		DurationMS int64 `json:"duration_ms"`
-	}{Result: res, DurationMS: res.Duration.Milliseconds()}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

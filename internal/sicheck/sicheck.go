@@ -1,10 +1,11 @@
-// Package sicheck is the independent constraint checker of the
-// generative differential harness: given a plain-data description of a
-// scheduling instance and a finished schedule, it re-derives every
-// property the scheduler is supposed to guarantee — slot durations from
-// the paper's cost model, rail exclusivity, the power budget, and the
-// core-level precedence and exclusion semantics — from first
-// principles.
+// Package sicheck is the independent constraint checker: given a
+// plain-data description of a scheduling instance and a finished
+// schedule, it re-derives every property the scheduler is supposed to
+// guarantee — slot durations from the paper's cost model, rail
+// exclusivity, the power budget, and the core-level precedence and
+// exclusion semantics — from first principles. The generative
+// differential harness uses it, and core.Engine.Finish runs it on
+// every optimization result.
 //
 // The package intentionally shares no code (and no types) with
 // internal/sischedule: it has its own ceiling division, its own

@@ -34,17 +34,6 @@ type Constraints struct {
 	// excl[gi] lists the group indices that may not run concurrently
 	// with group gi (symmetric).
 	excl [][]int32
-
-	// wocPower records that GroupPower was derived purely from WOC
-	// sizes (no CorePower overrides), so the WOC-based ValidatePower
-	// sweep is applicable as an independent cross-check.
-	wocPower bool
-}
-
-// WOCPower reports whether the group powers are plain WOC sums with no
-// per-core overrides. A nil receiver (unconstrained) reports true.
-func (c *Constraints) WOCPower() bool {
-	return c == nil || c.wocPower
 }
 
 // CompileConstraints lifts a core-level constraint set onto the given
@@ -74,7 +63,6 @@ func CompileConstraints(s *soc.SOC, cs *soc.ConstraintSet, groups []*Group) (*Co
 		GroupPower:  make([]int64, len(groups)),
 		preds:       make([][]int32, len(groups)),
 		excl:        make([][]int32, len(groups)),
-		wocPower:    len(cs.CorePower) == 0,
 	}
 	powerOf := make(map[int]int64, s.NumCores())
 	for _, core := range s.Cores() {
@@ -211,7 +199,6 @@ func powerOnly(a *tam.Architecture, groups []*Group, budget int64) *Constraints 
 		GroupPower:  make([]int64, len(groups)),
 		preds:       make([][]int32, len(groups)),
 		excl:        make([][]int32, len(groups)),
-		wocPower:    true,
 	}
 	for gi, g := range groups {
 		c.GroupPower[gi] = GroupPower(a, g)
